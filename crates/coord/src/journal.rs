@@ -37,6 +37,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
+use fnas_codec::{self as codec, Writer};
+
 /// Magic prefix of every WAL record and spill file; the trailing digit
 /// is the framing version.
 pub const WAL_MAGIC: [u8; 8] = *b"FNASWAL1";
@@ -52,9 +54,15 @@ const KIND_ROUND_MERGED: u8 = 4;
 const KIND_FINISHED: u8 = 5;
 const KIND_SPILL: u8 = 6;
 
+/// Frame header of a WAL record: kind + epoch + round + shard.
+const RECORD_HEADER_LEN: usize = 1 + 8 + 8 + 4;
+
+/// Frame header of a spill file: kind + round + shard.
+const SPILL_HEADER_LEN: usize = 1 + 8 + 4;
+
 /// Fixed overhead of one WAL record beyond its payload bytes:
 /// magic + kind + epoch + round + shard + payload length + checksum.
-pub const RECORD_OVERHEAD: usize = WAL_MAGIC.len() + 1 + 8 + 8 + 4 + 4 + 8;
+pub const RECORD_OVERHEAD: usize = codec::frame_overhead(WAL_MAGIC.len(), RECORD_HEADER_LEN);
 
 /// One committed coordinator state transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,16 +141,16 @@ impl WalRecord {
 
 /// Frames one record into its on-disk bytes.
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let (round, shard, payload): (u64, u32, Vec<u8>) = match *record {
+    let mut payload = Writer::with_capacity(16);
+    let (round, shard) = match *record {
         WalRecord::EpochStarted {
             fingerprint, job, ..
         } => {
-            let mut p = Vec::with_capacity(16);
-            p.extend_from_slice(&fingerprint.to_le_bytes());
-            p.extend_from_slice(&job.to_le_bytes());
-            (0, 0, p)
+            payload.u64(fingerprint);
+            payload.u64(job);
+            (0, 0)
         }
-        WalRecord::RoundStarted { round, .. } => (round, 0, Vec::new()),
+        WalRecord::RoundStarted { round, .. } => (round, 0),
         WalRecord::ShardSettled {
             round,
             shard,
@@ -150,79 +158,62 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
             checksum,
             ..
         } => {
-            let mut p = Vec::with_capacity(16);
-            p.extend_from_slice(&len.to_le_bytes());
-            p.extend_from_slice(&checksum.to_le_bytes());
-            (round, shard, p)
+            payload.u64(len);
+            payload.u64(checksum);
+            (round, shard)
         }
         WalRecord::RoundMerged {
             round, checksum, ..
-        } => (round, 0, checksum.to_le_bytes().to_vec()),
-        WalRecord::Finished { .. } => (0, 0, Vec::new()),
+        } => {
+            payload.u64(checksum);
+            (round, 0)
+        }
+        WalRecord::Finished { .. } => (0, 0),
     };
-    let mut out = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-    out.extend_from_slice(&WAL_MAGIC);
-    out.push(record.kind());
-    out.extend_from_slice(&record.epoch().to_le_bytes());
-    out.extend_from_slice(&round.to_le_bytes());
-    out.extend_from_slice(&shard.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(&out).to_le_bytes());
-    out
+    let mut header = Writer::with_capacity(RECORD_HEADER_LEN);
+    header.u8(record.kind());
+    header.u64(record.epoch());
+    header.u64(round);
+    header.u32(shard);
+    codec::encode_frame(&WAL_MAGIC, &header.into_bytes(), &payload.into_bytes())
 }
 
 /// Decodes one record at the start of `bytes`, returning it and the
 /// number of bytes consumed. Total: any defect — short buffer, bad
-/// magic, unknown kind, payload length mismatched to the kind, checksum
-/// failure — yields `None`, never an error.
+/// magic, unknown kind, payload length mismatched to the kind (the
+/// payload must decode exactly), checksum failure — yields `None`,
+/// never an error.
 pub fn decode_record(bytes: &[u8]) -> Option<(WalRecord, usize)> {
-    if bytes.len() < RECORD_OVERHEAD {
-        return None;
-    }
-    if bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return None;
-    }
-    let at = WAL_MAGIC.len();
-    let kind = bytes[at];
-    let epoch = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().ok()?);
-    let round = u64::from_le_bytes(bytes[at + 9..at + 17].try_into().ok()?);
-    let shard = u32::from_le_bytes(bytes[at + 17..at + 21].try_into().ok()?);
-    let payload_len = u32::from_le_bytes(bytes[at + 21..at + 25].try_into().ok()?) as usize;
-    let total = RECORD_OVERHEAD.checked_add(payload_len)?;
-    if bytes.len() < total {
-        return None;
-    }
-    let payload = &bytes[at + 25..at + 25 + payload_len];
-    let body = &bytes[..total - 8];
-    let stored = u64::from_le_bytes(bytes[total - 8..total].try_into().ok()?);
-    if checksum(body) != stored {
-        return None;
-    }
-    let le_u64 = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-    let record = match (kind, payload_len) {
-        (KIND_EPOCH_STARTED, 16) => WalRecord::EpochStarted {
-            epoch,
-            fingerprint: le_u64(&payload[..8]),
-            job: le_u64(&payload[8..]),
-        },
-        (KIND_ROUND_STARTED, 0) => WalRecord::RoundStarted { epoch, round },
-        (KIND_SHARD_SETTLED, 16) => WalRecord::ShardSettled {
-            epoch,
-            round,
-            shard,
-            len: le_u64(&payload[..8]),
-            checksum: le_u64(&payload[8..]),
-        },
-        (KIND_ROUND_MERGED, 8) => WalRecord::RoundMerged {
-            epoch,
-            round,
-            checksum: le_u64(payload),
-        },
-        (KIND_FINISHED, 0) => WalRecord::Finished { epoch },
-        _ => return None,
-    };
-    Some((record, total))
+    let frame = codec::decode_frame(bytes, &WAL_MAGIC, RECORD_HEADER_LEN).ok()?;
+    let record = codec::decode(frame.header, |h| {
+        let (kind, epoch, round, shard) = (h.u8()?, h.u64()?, h.u64()?, h.u32()?);
+        codec::decode(frame.payload, |p| {
+            Ok(match kind {
+                KIND_EPOCH_STARTED => WalRecord::EpochStarted {
+                    epoch,
+                    fingerprint: p.u64()?,
+                    job: p.u64()?,
+                },
+                KIND_ROUND_STARTED => WalRecord::RoundStarted { epoch, round },
+                KIND_SHARD_SETTLED => WalRecord::ShardSettled {
+                    epoch,
+                    round,
+                    shard,
+                    len: p.u64()?,
+                    checksum: p.u64()?,
+                },
+                KIND_ROUND_MERGED => WalRecord::RoundMerged {
+                    epoch,
+                    round,
+                    checksum: p.u64()?,
+                },
+                KIND_FINISHED => WalRecord::Finished { epoch },
+                _ => return Err(codec::invalid("unknown record kind")),
+            })
+        })
+    })
+    .ok()?;
+    Some((record, frame.len))
 }
 
 /// Decodes a WAL byte stream as the longest clean prefix of records,
@@ -238,55 +229,32 @@ pub fn decode_journal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     (records, at)
 }
 
+/// The frame header of the spill file for `(round, shard)`.
+fn spill_header(round: u64, shard: u32) -> Vec<u8> {
+    let mut header = Writer::with_capacity(SPILL_HEADER_LEN);
+    header.u8(KIND_SPILL);
+    header.u64(round);
+    header.u32(shard);
+    header.into_bytes()
+}
+
 /// Frames settled shard bytes into a self-validating spill file.
 pub fn encode_spill(round: u64, shard: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(WAL_MAGIC.len() + 1 + 8 + 4 + 4 + payload.len() + 8);
-    out.extend_from_slice(&WAL_MAGIC);
-    out.push(KIND_SPILL);
-    out.extend_from_slice(&round.to_le_bytes());
-    out.extend_from_slice(&shard.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(&out).to_le_bytes());
-    out
+    codec::encode_frame(&WAL_MAGIC, &spill_header(round, shard), payload)
 }
 
 /// Unframes a spill file written for `(round, shard)`, returning the
 /// settled checkpoint bytes. Total: any defect or an embedded
 /// round/shard mismatch yields `None` (the shard is simply unsettled).
 pub fn decode_spill(bytes: &[u8], round: u64, shard: u32) -> Option<Vec<u8>> {
-    const HEADER: usize = 8 + 1 + 8 + 4 + 4;
-    if bytes.len() < HEADER + 8 {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    if checksum(body) != u64::from_le_bytes(tail.try_into().ok()?) {
-        return None;
-    }
-    if body[..WAL_MAGIC.len()] != WAL_MAGIC || body[WAL_MAGIC.len()] != KIND_SPILL {
-        return None;
-    }
-    let at = WAL_MAGIC.len() + 1;
-    if u64::from_le_bytes(body[at..at + 8].try_into().ok()?) != round
-        || u32::from_le_bytes(body[at + 8..at + 12].try_into().ok()?) != shard
-    {
-        return None;
-    }
-    let len = u32::from_le_bytes(body[at + 12..at + 16].try_into().ok()?) as usize;
-    let payload = &body[HEADER..];
-    if payload.len() != len {
-        return None;
-    }
-    Some(payload.to_vec())
+    let frame = codec::decode_frame(bytes, &WAL_MAGIC, SPILL_HEADER_LEN).ok()?;
+    (frame.len == bytes.len() && frame.header == spill_header(round, shard))
+        .then(|| frame.payload.to_vec())
 }
 
-/// FNV-1a 64-bit checksum (same construction as `fnas_store::record`).
+/// FNV-1a 64-bit checksum: the one every `fnas_codec` frame carries.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    codec::fnv1a(codec::FNV_OFFSET, bytes)
 }
 
 /// The WAL-visible run state, folded from a clean record prefix.

@@ -23,10 +23,9 @@
 //!   deliberately *excluded*: results are bit-identical for any worker
 //!   count, so heterogeneous machines may cooperate on one run.
 //!
-//! Payload encoding is the same hand-rolled little-endian style as the
-//! checkpoint codec: `u32`/`u64` LE, strings as `u32` length + UTF-8,
-//! byte blobs as `u32` length + bytes, one leading tag byte per message
-//! variant.
+//! Payloads are written with `fnas_codec`, like the checkpoint codec:
+//! `u32`/`u64` LE, strings as `u32` length + UTF-8, byte blobs as `u32`
+//! length + bytes, one leading tag byte per message variant.
 //!
 //! Beyond the worker verbs, the protocol carries two more surfaces
 //! (DESIGN.md §18):
@@ -43,6 +42,7 @@
 
 use fnas::search::{SearchConfig, SearchMode};
 use fnas::FnasError;
+use fnas_codec::{self as codec, domain, splitmix64, Writer};
 
 fn corrupt(what: &str) -> FnasError {
     FnasError::InvalidConfig {
@@ -286,19 +286,13 @@ pub const JOB_STATE_FINISHED: u8 = 1;
 pub const JOB_STATE_CANCELLED: u8 = 2;
 
 /// Digest of the config knobs that determine results, folded with the
-/// same SplitMix64-style avalanche the seed tree uses. Two processes
+/// same [`fnas_codec::splitmix64`] the seed tree uses. Two processes
 /// agree on the fingerprint iff they would produce byte-identical
 /// checkpoints for the same shard — which is why evaluation worker count
 /// is excluded and batch size is included.
 pub fn config_fingerprint(config: &SearchConfig, batch: usize, shards: u32, rounds: u64) -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let mut h = mix(u64::from_le_bytes(*b"FNASCORD"));
-    let mut fold = |v: u64| h = mix(h ^ v);
+    let mut h = splitmix64(domain(b"FNASCORD"));
+    let mut fold = |v: u64| h = splitmix64(h ^ v);
     fold(config.seed());
     fold(config.preset().trials() as u64);
     fold(batch as u64);
@@ -316,68 +310,6 @@ pub fn config_fingerprint(config: &SearchConfig, batch: usize, shards: u32, roun
         fold(u64::from(b));
     }
     h
-}
-
-struct Writer(Vec<u8>);
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.0.extend_from_slice(b);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> fnas::Result<&'a [u8]> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| corrupt("message truncated"))?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> fnas::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> fnas::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> fnas::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bytes(&mut self) -> fnas::Result<Vec<u8>> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-    fn str(&mut self) -> fnas::Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| corrupt("string is not UTF-8"))
-    }
-    fn done(&self) -> fnas::Result<()> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(corrupt("trailing bytes after message"))
-        }
-    }
 }
 
 const TAG_POLL: u8 = 1;
@@ -406,7 +338,7 @@ const TAG_CANCELLED: u8 = 22;
 impl Request {
     /// Serialises the request to one frame payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer(Vec::new());
+        let mut w = Writer::new();
         match self {
             Request::Poll {
                 worker,
@@ -414,7 +346,7 @@ impl Request {
                 fingerprint,
             } => {
                 w.u8(TAG_POLL);
-                w.str(worker);
+                w.str32(worker);
                 w.u64(*job);
                 w.u64(*fingerprint);
             }
@@ -427,7 +359,7 @@ impl Request {
                 fingerprint,
             } => {
                 w.u8(TAG_HEARTBEAT);
-                w.str(worker);
+                w.str32(worker);
                 w.u64(*round);
                 w.u32(*shard);
                 w.u64(*epoch);
@@ -444,17 +376,17 @@ impl Request {
                 bytes,
             } => {
                 w.u8(TAG_SUBMIT);
-                w.str(worker);
+                w.str32(worker);
                 w.u64(*round);
                 w.u32(*shard);
                 w.u64(*epoch);
                 w.u64(*job);
                 w.u64(*fingerprint);
-                w.bytes(bytes);
+                w.blob32(bytes);
             }
             Request::PollAny { worker } => {
                 w.u8(TAG_POLL_ANY);
-                w.str(worker);
+                w.str32(worker);
             }
             Request::SubmitJob {
                 spec,
@@ -463,7 +395,7 @@ impl Request {
                 rounds,
             } => {
                 w.u8(TAG_SUBMIT_JOB);
-                w.bytes(spec);
+                w.blob32(spec);
                 w.u32(*batch);
                 w.u32(*shards);
                 w.u64(*rounds);
@@ -482,7 +414,7 @@ impl Request {
                 w.u64(*job);
             }
         }
-        w.0
+        w.into_bytes()
     }
 
     /// Parses one frame payload.
@@ -492,52 +424,54 @@ impl Request {
     /// [`FnasError::InvalidConfig`] on unknown tags, truncation or
     /// trailing bytes.
     pub fn from_bytes(buf: &[u8]) -> fnas::Result<Self> {
-        let mut r = Reader { buf, at: 0 };
-        let msg = match r.u8()? {
-            TAG_POLL => Request::Poll {
-                worker: r.str()?,
-                job: r.u64()?,
-                fingerprint: r.u64()?,
-            },
-            TAG_HEARTBEAT => Request::Heartbeat {
-                worker: r.str()?,
-                round: r.u64()?,
-                shard: r.u32()?,
-                epoch: r.u64()?,
-                job: r.u64()?,
-                fingerprint: r.u64()?,
-            },
-            TAG_SUBMIT => Request::Submit {
-                worker: r.str()?,
-                round: r.u64()?,
-                shard: r.u32()?,
-                epoch: r.u64()?,
-                job: r.u64()?,
-                fingerprint: r.u64()?,
-                bytes: r.bytes()?,
-            },
-            TAG_POLL_ANY => Request::PollAny { worker: r.str()? },
-            TAG_SUBMIT_JOB => Request::SubmitJob {
-                spec: r.bytes()?,
-                batch: r.u32()?,
-                shards: r.u32()?,
-                rounds: r.u64()?,
-            },
-            TAG_JOB_STATUS => Request::JobStatus { job: r.u64()? },
-            TAG_LIST_JOBS => Request::ListJobs,
-            TAG_CANCEL_JOB => Request::CancelJob { job: r.u64()? },
-            TAG_WATCH_PROGRESS => Request::WatchProgress { job: r.u64()? },
-            tag => return Err(corrupt(&format!("unknown request tag {tag}"))),
-        };
-        r.done()?;
-        Ok(msg)
+        codec::decode(buf, |r| {
+            Ok(match r.u8()? {
+                TAG_POLL => Request::Poll {
+                    worker: r.str32()?.to_string(),
+                    job: r.u64()?,
+                    fingerprint: r.u64()?,
+                },
+                TAG_HEARTBEAT => Request::Heartbeat {
+                    worker: r.str32()?.to_string(),
+                    round: r.u64()?,
+                    shard: r.u32()?,
+                    epoch: r.u64()?,
+                    job: r.u64()?,
+                    fingerprint: r.u64()?,
+                },
+                TAG_SUBMIT => Request::Submit {
+                    worker: r.str32()?.to_string(),
+                    round: r.u64()?,
+                    shard: r.u32()?,
+                    epoch: r.u64()?,
+                    job: r.u64()?,
+                    fingerprint: r.u64()?,
+                    bytes: r.blob32()?.to_vec(),
+                },
+                TAG_POLL_ANY => Request::PollAny {
+                    worker: r.str32()?.to_string(),
+                },
+                TAG_SUBMIT_JOB => Request::SubmitJob {
+                    spec: r.blob32()?.to_vec(),
+                    batch: r.u32()?,
+                    shards: r.u32()?,
+                    rounds: r.u64()?,
+                },
+                TAG_JOB_STATUS => Request::JobStatus { job: r.u64()? },
+                TAG_LIST_JOBS => Request::ListJobs,
+                TAG_CANCEL_JOB => Request::CancelJob { job: r.u64()? },
+                TAG_WATCH_PROGRESS => Request::WatchProgress { job: r.u64()? },
+                tag => return Err(codec::invalid(format!("unknown request tag {tag}"))),
+            })
+        })
+        .map_err(|e| corrupt(&e.to_string()))
     }
 }
 
 impl Response {
     /// Serialises the response to one frame payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer(Vec::new());
+        let mut w = Writer::new();
         match self {
             Response::Assign {
                 round,
@@ -558,10 +492,10 @@ impl Response {
                 w.u64(*lease_ms);
                 w.u64(*epoch);
                 w.u64(*job);
-                w.bytes(spec);
+                w.blob32(spec);
                 w.u32(*batch);
                 w.u64(*rounds);
-                w.bytes(init);
+                w.blob32(init);
             }
             Response::Wait { backoff_ms } => {
                 w.u8(TAG_WAIT);
@@ -578,7 +512,7 @@ impl Response {
             }
             Response::Error { what } => {
                 w.u8(TAG_ERROR);
-                w.str(what);
+                w.str32(what);
             }
             Response::Retry { backoff_ms } => {
                 w.u8(TAG_RETRY);
@@ -604,11 +538,11 @@ impl Response {
                 w.u8(TAG_JOB_INFO);
                 w.u64(*job);
                 w.u8(*state);
-                w.bytes(progress);
+                w.blob32(progress);
             }
             Response::Jobs { jobs } => {
                 w.u8(TAG_JOBS);
-                w.u32(jobs.len() as u32);
+                w.len32(jobs.len());
                 for (job, state) in jobs {
                     w.u64(*job);
                     w.u8(*state);
@@ -619,7 +553,7 @@ impl Response {
                 w.u64(*job);
             }
         }
-        w.0
+        w.into_bytes()
     }
 
     /// Parses one frame payload.
@@ -629,55 +563,57 @@ impl Response {
     /// [`FnasError::InvalidConfig`] on unknown tags, truncation or
     /// trailing bytes.
     pub fn from_bytes(buf: &[u8]) -> fnas::Result<Self> {
-        let mut r = Reader { buf, at: 0 };
-        let msg = match r.u8()? {
-            TAG_ASSIGN => Response::Assign {
-                round: r.u64()?,
-                shard: r.u32()?,
-                shard_count: r.u32()?,
-                lease_ms: r.u64()?,
-                epoch: r.u64()?,
-                job: r.u64()?,
-                spec: r.bytes()?,
-                batch: r.u32()?,
-                rounds: r.u64()?,
-                init: r.bytes()?,
-            },
-            TAG_WAIT => Response::Wait {
-                backoff_ms: r.u64()?,
-            },
-            TAG_FINISHED => Response::Finished,
-            TAG_ACK => Response::Ack {
-                still_yours: r.u8()? != 0,
-            },
-            TAG_ACCEPTED => Response::Accepted {
-                fresh: r.u8()? != 0,
-            },
-            TAG_ERROR => Response::Error { what: r.str()? },
-            TAG_RETRY => Response::Retry {
-                backoff_ms: r.u64()?,
-            },
-            TAG_STALE => Response::Stale { epoch: r.u64()? },
-            TAG_WRONG_JOB => Response::WrongJob { job: r.u64()? },
-            TAG_JOB_ACCEPTED => Response::JobAccepted { job: r.u64()? },
-            TAG_JOB_INFO => Response::JobInfo {
-                job: r.u64()?,
-                state: r.u8()?,
-                progress: r.bytes()?,
-            },
-            TAG_JOBS => {
-                let count = r.u32()? as usize;
-                let mut jobs = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    jobs.push((r.u64()?, r.u8()?));
+        codec::decode(buf, |r| {
+            Ok(match r.u8()? {
+                TAG_ASSIGN => Response::Assign {
+                    round: r.u64()?,
+                    shard: r.u32()?,
+                    shard_count: r.u32()?,
+                    lease_ms: r.u64()?,
+                    epoch: r.u64()?,
+                    job: r.u64()?,
+                    spec: r.blob32()?.to_vec(),
+                    batch: r.u32()?,
+                    rounds: r.u64()?,
+                    init: r.blob32()?.to_vec(),
+                },
+                TAG_WAIT => Response::Wait {
+                    backoff_ms: r.u64()?,
+                },
+                TAG_FINISHED => Response::Finished,
+                TAG_ACK => Response::Ack {
+                    still_yours: r.u8()? != 0,
+                },
+                TAG_ACCEPTED => Response::Accepted {
+                    fresh: r.u8()? != 0,
+                },
+                TAG_ERROR => Response::Error {
+                    what: r.str32()?.to_string(),
+                },
+                TAG_RETRY => Response::Retry {
+                    backoff_ms: r.u64()?,
+                },
+                TAG_STALE => Response::Stale { epoch: r.u64()? },
+                TAG_WRONG_JOB => Response::WrongJob { job: r.u64()? },
+                TAG_JOB_ACCEPTED => Response::JobAccepted { job: r.u64()? },
+                TAG_JOB_INFO => Response::JobInfo {
+                    job: r.u64()?,
+                    state: r.u8()?,
+                    progress: r.blob32()?.to_vec(),
+                },
+                TAG_JOBS => {
+                    let count = r.len32()?;
+                    let mut jobs = Vec::with_capacity(count);
+                    for _ in 0..count {
+                        jobs.push((r.u64()?, r.u8()?));
+                    }
+                    Response::Jobs { jobs }
                 }
-                Response::Jobs { jobs }
-            }
-            TAG_CANCELLED => Response::Cancelled { job: r.u64()? },
-            tag => return Err(corrupt(&format!("unknown response tag {tag}"))),
-        };
-        r.done()?;
-        Ok(msg)
+                TAG_CANCELLED => Response::Cancelled { job: r.u64()? },
+                tag => return Err(codec::invalid(format!("unknown response tag {tag}"))),
+            })
+        })
+        .map_err(|e| corrupt(&e.to_string()))
     }
 }
 

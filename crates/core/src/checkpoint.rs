@@ -16,12 +16,12 @@
 //! * **wall times and cache counters** — they describe work performed by a
 //!   particular process, not logical search progress.
 //!
-//! The format is a little-endian binary codec written by hand: the build
-//! environment has no registry access, so `serde` is not an option, and a
-//! fixed self-describing layout (magic, version, length-prefixed arrays)
-//! is easy to keep stable. All floating-point state is stored as raw IEEE
-//! bits, so `NaN` payloads and signed zeros survive the round trip
-//! exactly. Writes go through a temporary file in the same directory
+//! The format is written with the workspace's std-only `fnas_codec`: the
+//! build environment has no registry access, so `serde` is not an
+//! option, and a fixed self-describing layout (magic, version,
+//! length-prefixed arrays) is easy to keep stable. All floating-point
+//! state is stored as raw IEEE bits, so `NaN` payloads and signed zeros
+//! survive the round trip exactly. Writes go through a temporary file in the same directory
 //! followed by an atomic rename, so a crash mid-write leaves the previous
 //! checkpoint intact.
 
@@ -29,6 +29,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
+use fnas_codec::{self as codec, Reader, Writer};
 use fnas_controller::arch::{ChildArch, LayerChoice};
 use fnas_controller::reinforce::TrainerState;
 use fnas_exec::TelemetrySnapshot;
@@ -111,8 +112,8 @@ pub struct SearchCheckpoint {
 impl SearchCheckpoint {
     /// Serialises the checkpoint to its binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.bytes(MAGIC);
+        let mut w = Writer::new();
+        w.raw(MAGIC);
         w.u32(VERSION);
         // v2 shard header, extended with the v3 round counter.
         w.u32(self.shard_index);
@@ -120,38 +121,29 @@ impl SearchCheckpoint {
         w.u64(self.parent_seed);
         w.u64(self.round);
         // v4 job header: length-prefixed canonical JobSpec encoding.
-        let job = self.job.encode();
-        w.u64(job.len() as u64);
-        w.bytes(&job);
+        w.blob64(&self.job.encode());
         w.u64(self.run_seed);
         w.u64(self.next_episode);
         for s in self.rng_state {
             w.u64(s);
         }
-        w.opt_f32(self.baseline);
+        w.opt(self.baseline, Writer::f32);
         w.f64(self.cost.training_seconds);
         w.f64(self.cost.analyzer_seconds);
         // Trainer.
-        w.u64(self.trainer.params.len() as u64);
+        w.len64(self.trainer.params.len());
         for &p in &self.trainer.params {
             w.f32(p);
         }
         w.u64(self.trainer.optimizer.t);
-        w.u64(self.trainer.optimizer.moments.len() as u64);
+        w.len64(self.trainer.optimizer.moments.len());
         for slot in &self.trainer.optimizer.moments {
-            match slot {
-                None => w.u8(0),
-                Some((m, v)) => {
-                    w.u8(1);
-                    w.u64(m.len() as u64);
-                    for &x in m {
-                        w.f32(x);
-                    }
-                    for &x in v {
-                        w.f32(x);
-                    }
+            w.opt(slot.as_ref(), |w, (m, v)| {
+                w.len64(m.len());
+                for &x in m.iter().chain(v) {
+                    w.f32(x);
                 }
-            }
+            });
         }
         w.u64(self.trainer.updates);
         // Logical telemetry counters.
@@ -172,20 +164,20 @@ impl SearchCheckpoint {
             w.u64(c);
         }
         // Trials.
-        w.u64(self.trials.len() as u64);
+        w.len64(self.trials.len());
         for trial in &self.trials {
             w.u64(trial.index as u64);
-            w.u64(trial.arch.layers().len() as u64);
+            w.len64(trial.arch.layers().len());
             for l in trial.arch.layers() {
                 w.u32(l.filter_size as u32);
                 w.u32(l.num_filters as u32);
             }
-            w.opt_f64(trial.latency.map(|l| l.get()));
-            w.opt_f32(trial.accuracy);
+            w.opt(trial.latency.map(|l| l.get()), Writer::f64);
+            w.opt(trial.accuracy, Writer::f32);
             w.f32(trial.reward);
             w.u8(u8::from(trial.trained));
         }
-        w.buf
+        w.into_bytes()
     }
 
     /// Deserialises a checkpoint from its binary format.
@@ -195,14 +187,21 @@ impl SearchCheckpoint {
     /// Returns [`FnasError::InvalidConfig`] on a wrong magic, an unknown
     /// version, or a truncated/corrupt payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let magic = r.bytes(MAGIC.len())?;
-        if magic != MAGIC {
-            return Err(corrupt("not an FNAS checkpoint (bad magic)"));
+        codec::decode(bytes, Self::decode_fields).map_err(|e| corrupt(&e.to_string()))
+    }
+
+    /// Reads every checkpoint field; [`SearchCheckpoint::from_bytes`] adds
+    /// the trailing-bytes check and the `checkpoint:` context.
+    fn decode_fields(r: &mut Reader<'_>) -> codec::Result<SearchCheckpoint> {
+        fn f32s(r: &mut Reader<'_>, n: usize) -> codec::Result<Vec<f32>> {
+            (0..n).map(|_| r.f32()).collect()
+        }
+        if r.raw(MAGIC.len())? != MAGIC {
+            return Err(codec::invalid("not an FNAS checkpoint (bad magic)"));
         }
         let version = r.u32()?;
         if version == 0 || version > VERSION {
-            return Err(corrupt(&format!(
+            return Err(codec::invalid(format!(
                 "unsupported checkpoint version {version} (this build reads 1..={VERSION})"
             )));
         }
@@ -217,14 +216,14 @@ impl SearchCheckpoint {
         let round = if version >= 3 { r.u64()? } else { 0 };
         // v4 job header; pre-job snapshots load as the pinned default.
         let job = if version >= 4 {
-            let n = r.len()?;
-            JobSpec::decode(r.bytes(n)?)
-                .ok_or_else(|| corrupt("job header does not decode as a canonical JobSpec"))?
+            JobSpec::decode(r.blob64()?).ok_or_else(|| {
+                codec::invalid("job header does not decode as a canonical JobSpec")
+            })?
         } else {
             JobSpec::default()
         };
         if shard_count == 0 || shard_index >= shard_count {
-            return Err(corrupt(&format!(
+            return Err(codec::invalid(format!(
                 "implausible shard header {shard_index}/{shard_count}"
             )));
         }
@@ -235,36 +234,21 @@ impl SearchCheckpoint {
         for s in &mut rng_state {
             *s = r.u64()?;
         }
-        let baseline = r.opt_f32()?;
+        let baseline = r.opt(Reader::f32)?;
         let cost = SearchCost {
             training_seconds: r.f64()?,
             analyzer_seconds: r.f64()?,
         };
-        let n_params = r.len()?;
-        let mut params = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            params.push(r.f32()?);
-        }
+        let n_params = r.len64()?;
+        let params = f32s(r, n_params)?;
         let t = r.u64()?;
-        let n_moments = r.len()?;
+        let n_moments = r.len64()?;
         let mut moments = Vec::with_capacity(n_moments);
         for _ in 0..n_moments {
-            moments.push(match r.u8()? {
-                0 => None,
-                1 => {
-                    let n = r.len()?;
-                    let mut m = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        m.push(r.f32()?);
-                    }
-                    let mut v = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        v.push(r.f32()?);
-                    }
-                    Some((m, v))
-                }
-                tag => return Err(corrupt(&format!("bad moment tag {tag}"))),
-            });
+            moments.push(r.opt(|r| {
+                let n = r.len64()?;
+                Ok((f32s(r, n)?, f32s(r, n)?))
+            })?);
         }
         let updates = r.u64()?;
         let trainer = TrainerState {
@@ -286,11 +270,11 @@ impl SearchCheckpoint {
             train_calls: r.u64()?,
             ..TelemetrySnapshot::default()
         };
-        let n_trials = r.len()?;
+        let n_trials = r.len64()?;
         let mut trials = Vec::with_capacity(n_trials);
         for _ in 0..n_trials {
             let index = r.u64()? as usize;
-            let n_layers = r.len()?;
+            let n_layers = r.len64()?;
             let mut layers = Vec::with_capacity(n_layers);
             for _ in 0..n_layers {
                 layers.push(LayerChoice {
@@ -298,19 +282,17 @@ impl SearchCheckpoint {
                     num_filters: r.u32()? as usize,
                 });
             }
-            let arch = ChildArch::new(layers)
-                .map_err(|e| corrupt(&format!("checkpointed architecture is invalid: {e}")))?;
+            let arch = ChildArch::new(layers).map_err(|e| {
+                codec::invalid(format!("checkpointed architecture is invalid: {e}"))
+            })?;
             trials.push(TrialRecord {
                 index,
                 arch,
-                latency: r.opt_f64()?.map(Millis::new),
-                accuracy: r.opt_f32()?,
+                latency: r.opt(Reader::f64)?.map(Millis::new),
+                accuracy: r.opt(Reader::f32)?,
                 reward: r.f32()?,
                 trained: r.u8()? != 0,
             });
-        }
-        if !r.at_end() {
-            return Err(corrupt("trailing bytes after checkpoint payload"));
         }
         Ok(SearchCheckpoint {
             shard_index,
@@ -550,112 +532,6 @@ impl SearchCheckpoint {
 fn corrupt(what: &str) -> FnasError {
     FnasError::InvalidConfig {
         what: format!("checkpoint: {what}"),
-    }
-}
-
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-    fn u8(&mut self, x: u8) {
-        self.buf.push(x);
-    }
-    fn u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn f32(&mut self, x: f32) {
-        self.u32(x.to_bits());
-    }
-    fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-    fn opt_f32(&mut self, x: Option<f32>) {
-        match x {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.f32(v);
-            }
-        }
-    }
-    fn opt_f64(&mut self, x: Option<f64>) {
-        match x {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.f64(v);
-            }
-        }
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| corrupt("unexpected end of payload"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4")))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
-    }
-    fn f32(&mut self) -> Result<f32> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    /// A length prefix, sanity-bounded by the remaining payload so corrupt
-    /// lengths fail cleanly instead of attempting huge allocations.
-    fn len(&mut self) -> Result<usize> {
-        let n = self.u64()?;
-        if n > (self.buf.len() - self.pos) as u64 {
-            return Err(corrupt(&format!("implausible length {n}")));
-        }
-        Ok(n as usize)
-    }
-    fn opt_f32(&mut self) -> Result<Option<f32>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f32()?)),
-            tag => Err(corrupt(&format!("bad option tag {tag}"))),
-        }
-    }
-    fn opt_f64(&mut self) -> Result<Option<f64>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            tag => Err(corrupt(&format!("bad option tag {tag}"))),
-        }
-    }
-    fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
     }
 }
 

@@ -13,6 +13,7 @@
 //!   which need hundreds of child evaluations; see DESIGN.md §2 for why
 //!   this substitution preserves the experiment shapes.
 
+use fnas_codec::splitmix64;
 use fnas_controller::arch::ChildArch;
 use fnas_data::{SynthConfig, SynthDataset};
 use fnas_exec::Deadline;
@@ -281,22 +282,16 @@ impl SurrogateEvaluator {
     }
 
     /// Stable per-architecture noise seed: the layer choices and the salt
-    /// folded through a SplitMix64-style avalanche mix (the same finaliser
-    /// as `fnas_exec::derive_child_seed`). A fixed published algorithm —
+    /// folded through [`fnas_codec::splitmix64`] (the same mix as
+    /// `fnas_exec::derive_child_seed`). A fixed published algorithm —
     /// not `DefaultHasher`, whose output the standard library does not
     /// guarantee across releases — so surrogate accuracies recorded in one
     /// toolchain replay bit-identically in every other.
     fn arch_seed(&self, arch: &ChildArch) -> u64 {
-        fn mix(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        let mut h = mix(self.seed_salt);
+        let mut h = splitmix64(self.seed_salt);
         for l in arch.layers() {
-            h = mix(h ^ l.filter_size as u64);
-            h = mix(h ^ l.num_filters as u64);
+            h = splitmix64(h ^ l.filter_size as u64);
+            h = splitmix64(h ^ l.num_filters as u64);
         }
         h
     }

@@ -5,16 +5,10 @@
 //! not depend on which worker picked the child up or in what order the
 //! batch was interleaved. The stream is pinned to the child's *logical*
 //! position — `(run_seed, episode, child_index)` — through a fixed
-//! SplitMix64-style mix, so re-running the same search with 1, 2 or 8
-//! workers reproduces every child bit-for-bit.
+//! SplitMix64 mix (`fnas_codec::splitmix64`), so re-running the same
+//! search with 1, 2 or 8 workers reproduces every child bit-for-bit.
 
-/// One round of the SplitMix64 finaliser: a bijective avalanche mix.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use fnas_codec::{domain, splitmix64};
 
 /// Derives the RNG seed for child `child_index` of batch `episode` in a
 /// run seeded with `run_seed`: `hash(run_seed, episode, child_index)`.
@@ -40,14 +34,14 @@ fn mix(mut z: u64) -> u64 {
 /// assert_ne!(a, derive_child_seed(43, 0, 0));
 /// ```
 pub fn derive_child_seed(run_seed: u64, episode: u64, child_index: u64) -> u64 {
-    mix(mix(mix(run_seed) ^ episode) ^ child_index)
+    splitmix64(splitmix64(splitmix64(run_seed) ^ episode) ^ child_index)
 }
 
 /// Domain-separation constant for shard streams (`b"SHARD_ST"` as a
 /// little-endian word). Episode indices are small integers, so folding
 /// this constant into the episode position of the mix guarantees shard
 /// seeds can never collide with any child seed a real run derives.
-const SHARD_STREAM_DOMAIN: u64 = u64::from_le_bytes(*b"SHARD_ST");
+const SHARD_STREAM_DOMAIN: u64 = domain(b"SHARD_ST");
 
 /// Derives the root RNG seed for shard `shard` of a run seeded with
 /// `run_seed` — the second level of the hierarchical stream tree:
@@ -82,13 +76,13 @@ const SHARD_STREAM_DOMAIN: u64 = u64::from_le_bytes(*b"SHARD_ST");
 /// assert_ne!(a, derive_child_seed(42, 0, 0));
 /// ```
 pub fn derive_shard_seed(run_seed: u64, shard: u64) -> u64 {
-    mix(mix(mix(run_seed) ^ SHARD_STREAM_DOMAIN) ^ shard)
+    splitmix64(splitmix64(splitmix64(run_seed) ^ SHARD_STREAM_DOMAIN) ^ shard)
 }
 
 /// Domain-separation constant for round streams (`b"ROUND_SD"` as a
 /// little-endian word), keeping per-round seeds disjoint from both the
 /// shard domain and every realistic child stream.
-const ROUND_STREAM_DOMAIN: u64 = u64::from_le_bytes(*b"ROUND_SD");
+const ROUND_STREAM_DOMAIN: u64 = domain(b"ROUND_SD");
 
 /// Derives the parent seed for round `round` of an iterated synchronous
 /// search seeded with `parent_seed` — the level *above*
@@ -122,7 +116,7 @@ pub fn derive_round_seed(parent_seed: u64, round: u64) -> u64 {
     if round == 0 {
         parent_seed
     } else {
-        mix(mix(mix(parent_seed) ^ ROUND_STREAM_DOMAIN) ^ round)
+        splitmix64(splitmix64(splitmix64(parent_seed) ^ ROUND_STREAM_DOMAIN) ^ round)
     }
 }
 
@@ -159,7 +153,10 @@ mod tests {
     fn stable_reference_values() {
         // Pinned outputs: if the algorithm ever changes, recorded runs stop
         // replaying — fail loudly here instead.
-        assert_eq!(derive_child_seed(0, 0, 0), mix(mix(mix(0))));
+        assert_eq!(
+            derive_child_seed(0, 0, 0),
+            splitmix64(splitmix64(splitmix64(0)))
+        );
         let pinned = derive_child_seed(0xF0A5, 3, 17);
         assert_eq!(pinned, derive_child_seed(0xF0A5, 3, 17));
         assert_ne!(pinned, 0);
@@ -192,7 +189,7 @@ mod tests {
         // Stability contract: recorded sharded runs must replay forever.
         assert_eq!(
             derive_shard_seed(0, 0),
-            derive_child_seed(0, u64::from_le_bytes(*b"SHARD_ST"), 0)
+            derive_child_seed(0, domain(b"SHARD_ST"), 0)
         );
         let pinned = derive_shard_seed(0xF0A5, 3);
         assert_eq!(pinned, derive_shard_seed(0xF0A5, 3));
@@ -217,7 +214,7 @@ mod tests {
         assert_eq!(derive_round_seed(0xF0A5, 3), derive_round_seed(0xF0A5, 3));
         assert_eq!(
             derive_round_seed(0, 1),
-            derive_child_seed(0, u64::from_le_bytes(*b"ROUND_SD"), 1)
+            derive_child_seed(0, domain(b"ROUND_SD"), 1)
         );
     }
 

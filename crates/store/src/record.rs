@@ -10,11 +10,15 @@
 //! checksum          (u64 LE, FNV-1a over everything above)
 //! ```
 //!
+//! This is the `fnas_codec` checksummed frame, with the key as header.
+//!
 //! Decoding is total: any defect — wrong magic, truncated frame, trailing
 //! garbage, key mismatch, schema-version skew, checksum failure — yields
 //! `None` (a cache miss), never a panic. The embedded key is compared
 //! against the key the reader asked for, so even a path-digest collision or
 //! a misplaced file degrades to a miss.
+
+use fnas_codec as codec;
 
 use crate::key::{CacheKey, ENCODED_KEY_LEN};
 
@@ -23,17 +27,11 @@ use crate::key::{CacheKey, ENCODED_KEY_LEN};
 pub const RECORD_MAGIC: [u8; 8] = *b"FNASTOR1";
 
 /// Fixed overhead of a record frame beyond the payload bytes.
-pub const RECORD_OVERHEAD: usize = RECORD_MAGIC.len() + ENCODED_KEY_LEN + 4 + 8;
+pub const RECORD_OVERHEAD: usize = codec::frame_overhead(RECORD_MAGIC.len(), ENCODED_KEY_LEN);
 
 /// Frames `payload` under `key` into record bytes.
 pub fn encode_record(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-    out.extend_from_slice(&RECORD_MAGIC);
-    out.extend_from_slice(&key.encode());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(&out).to_le_bytes());
-    out
+    codec::encode_frame(&RECORD_MAGIC, &key.encode(), payload)
 }
 
 /// Unframes record bytes written for `key`, returning the payload.
@@ -51,36 +49,11 @@ pub fn decode_record(bytes: &[u8], key: &CacheKey) -> Option<Vec<u8>> {
 /// Unframes record bytes without an expected key, returning the embedded
 /// key and payload. Used by `fnas-store verify`.
 pub fn decode_any_record(bytes: &[u8]) -> Option<(CacheKey, Vec<u8>)> {
-    if bytes.len() < RECORD_OVERHEAD {
+    let frame = codec::decode_frame(bytes, &RECORD_MAGIC, ENCODED_KEY_LEN).ok()?;
+    if frame.len != bytes.len() {
         return None;
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut stored = [0u8; 8];
-    stored.copy_from_slice(tail);
-    if checksum(body) != u64::from_le_bytes(stored) {
-        return None;
-    }
-    if body[..RECORD_MAGIC.len()] != RECORD_MAGIC {
-        return None;
-    }
-    let key_end = RECORD_MAGIC.len() + ENCODED_KEY_LEN;
-    let key = CacheKey::decode(&body[RECORD_MAGIC.len()..key_end])?;
-    let mut len = [0u8; 4];
-    len.copy_from_slice(&body[key_end..key_end + 4]);
-    let payload = &body[key_end + 4..];
-    if payload.len() != u32::from_le_bytes(len) as usize {
-        return None;
-    }
-    Some((key, payload.to_vec()))
-}
-
-/// FNV-1a 64-bit checksum.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    Some((CacheKey::decode(frame.header)?, frame.payload.to_vec()))
 }
 
 #[cfg(test)]
