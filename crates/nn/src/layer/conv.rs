@@ -1,19 +1,23 @@
 use fnas_tensor::{Init, Tensor, XavierUniform};
 use rand::RngCore;
 
-use crate::layer::im2col::{col2im, im2col, ColGeometry};
+use crate::layer::im2col::{col2im, gemm, im2col, transpose, ColGeometry};
 use crate::layer::{Layer, ParamMut};
 use crate::{NnError, Result};
 
 /// Which algorithm a [`Conv2d`] uses for its forward and backward passes.
 ///
-/// Both produce identical results up to floating-point summation order
-/// (property-tested); they differ only in speed and memory:
+/// Both compute the same convolution but not the same bits: each sums an
+/// output's products in its own order, so they agree only up to rounding
+/// (property-tested at a tolerance). Only [`ConvAlgo::Im2col`] backs
+/// training; its exact bits are pinned by the golden tests in
+/// `tests/nn_golden.rs`. They also differ in speed and memory:
 ///
 /// * [`ConvAlgo::Direct`] — six nested loops, no extra memory;
 /// * [`ConvAlgo::Im2col`] — unfolds receptive fields into a column matrix
-///   and rides the cache-friendly matmul kernel; typically several times
-///   faster for kernels > 1 at the cost of a `C·K²·OH·OW` scratch buffer.
+///   and rides a cache-friendly matrix-product loop; typically several
+///   times faster for kernels > 1 at the cost of a `C·K²·OH·OW` column
+///   buffer per call (and its transpose in backward).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConvAlgo {
     /// Straightforward nested-loop convolution.
@@ -124,35 +128,22 @@ impl Conv2d {
         }
     }
 
-    /// Weight viewed as the `[M, N·K²]` matrix the lowering multiplies by.
-    fn weight_matrix(&self) -> Result<Tensor> {
-        Ok(self.weight.reshape(
-            &[
-                self.out_channels,
-                self.in_channels * self.kernel * self.kernel,
-            ][..],
-        )?)
-    }
-
     fn forward_im2col(&self, input: &Tensor, n: usize, oh: usize, ow: usize) -> Result<Tensor> {
         let dims = input.shape().dims();
-        let (ci, h, w) = (dims[1], dims[2], dims[3]);
-        let g = self.geometry(h, w, oh, ow);
-        let wm = self.weight_matrix()?;
-        let x = input.as_slice();
+        let g = self.geometry(dims[2], dims[3], oh, ow);
+        let (rows, cols, image_len) = (g.rows(), g.cols(), dims[1] * dims[2] * dims[3]);
+        let mut col_buf = vec![0.0f32; rows * cols];
+        let wm = self.weight.as_slice();
         let b = self.bias.as_slice();
-        let mut out = vec![0.0f32; n * self.out_channels * oh * ow];
-        for sample in 0..n {
-            let image = &x[sample * ci * h * w..(sample + 1) * ci * h * w];
-            let cols = im2col(image, &g)?;
-            let prod = wm.matmul(&cols)?;
-            let dst = &mut out
-                [sample * self.out_channels * oh * ow..(sample + 1) * self.out_channels * oh * ow];
-            for (m, chunk) in prod.as_slice().chunks_exact(oh * ow).enumerate() {
-                let drow = &mut dst[m * oh * ow..(m + 1) * oh * ow];
-                let bias = b[m];
-                for (d, &v) in drow.iter_mut().zip(chunk) {
-                    *d = v + bias;
+        let mut out = vec![0.0f32; n * self.out_channels * cols];
+        for s in 0..n {
+            let image = &input.as_slice()[s * image_len..(s + 1) * image_len];
+            let dst = &mut out[s * self.out_channels * cols..(s + 1) * self.out_channels * cols];
+            im2col(image, &g, &mut col_buf);
+            gemm(wm, (rows, 1), &col_buf, dst, cols);
+            for (drow, &bias) in dst.chunks_exact_mut(cols).zip(b) {
+                for d in drow {
+                    *d += bias;
                 }
             }
         }
@@ -161,41 +152,43 @@ impl Conv2d {
 
     fn backward_im2col(&mut self, input: &Tensor, grad_out: &Tensor) -> Result<Tensor> {
         let dims = input.shape().dims();
-        let (n, ci, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let godims = grad_out.shape().dims();
-        let (oh, ow) = (godims[2], godims[3]);
-        let g = self.geometry(h, w, oh, ow);
-        let wm = self.weight_matrix()?;
-        let wm_t = wm.transpose()?;
-        let x = input.as_slice();
-        let go = grad_out.as_slice();
-        let mut gx = vec![0.0f32; n * ci * h * w];
-        let gw_flat_shape = [self.out_channels, ci * self.kernel * self.kernel];
-        let mut gw_acc = Tensor::zeros(&gw_flat_shape[..]);
-        for sample in 0..n {
-            let image = &x[sample * ci * h * w..(sample + 1) * ci * h * w];
-            let cols = im2col(image, &g)?;
-            let go_n = Tensor::from_vec(
-                go[sample * self.out_channels * oh * ow
-                    ..(sample + 1) * self.out_channels * oh * ow]
-                    .to_vec(),
-                &[self.out_channels, oh * ow][..],
-            )?;
-            gw_acc.add_scaled(&go_n.matmul(&cols.transpose()?)?, 1.0)?;
-            let dcols = wm_t.matmul(&go_n)?;
-            col2im(
-                &dcols,
-                &g,
-                &mut gx[sample * ci * h * w..(sample + 1) * ci * h * w],
-            );
-            let gb = self.grad_bias.as_mut_slice();
-            for (m, chunk) in go_n.as_slice().chunks_exact(oh * ow).enumerate() {
-                gb[m] += chunk.iter().sum::<f32>();
+        let g = self.geometry(dims[2], dims[3], godims[2], godims[3]);
+        let (co, rows, cols) = (self.out_channels, g.rows(), g.cols());
+        let image_len = dims[1] * dims[2] * dims[3];
+        // Buffers reused by every image of the call.
+        let mut col_buf = vec![0.0f32; rows * cols];
+        let mut cols_t = vec![0.0f32; cols * rows];
+        let mut gw_image = vec![0.0f32; co * rows];
+        let mut gw_acc = vec![0.0f32; co * rows];
+        let wm = self.weight.as_slice();
+        let gb = self.grad_bias.as_mut_slice();
+        let mut gx = vec![0.0f32; input.len()];
+        for s in 0..dims[0] {
+            let image = &input.as_slice()[s * image_len..(s + 1) * image_len];
+            let go_n = &grad_out.as_slice()[s * co * cols..(s + 1) * co * cols];
+            let gx_n = &mut gx[s * image_len..(s + 1) * image_len];
+            // One weight-gradient chain per image, summed in image order.
+            im2col(image, &g, &mut col_buf);
+            transpose(&col_buf, rows, &mut cols_t);
+            gw_image.fill(0.0);
+            gemm(go_n, (cols, 1), &cols_t, &mut gw_image, rows);
+            for (acc, &v) in gw_acc.iter_mut().zip(&gw_image) {
+                *acc += v;
+            }
+            // The column gradient Wᵀ · go_n reuses the column buffer, with
+            // the weight matrix read transposed in place.
+            col_buf.fill(0.0);
+            gemm(wm, (1, rows), go_n, &mut col_buf, cols);
+            col2im(&col_buf, &g, gx_n);
+            for (bias, chunk) in gb.iter_mut().zip(go_n.chunks_exact(cols)) {
+                *bias += chunk.iter().sum::<f32>();
             }
         }
-        self.grad_weight
-            .add_scaled(&gw_acc.reshape(self.weight.shape().clone())?, 1.0)?;
-        Ok(Tensor::from_vec(gx, [n, ci, h, w])?)
+        for (gw, &acc) in self.grad_weight.as_mut_slice().iter_mut().zip(&gw_acc) {
+            *gw += acc;
+        }
+        Ok(Tensor::from_vec(gx, input.shape().clone())?)
     }
 
     /// Half padding for a square kernel: `(kernel − 1) / 2`.
@@ -262,7 +255,13 @@ impl Layer for Conv2d {
         let (n, oh, ow) = self.check_input(input)?;
         if self.algo == ConvAlgo::Im2col {
             let out = self.forward_im2col(input, n, oh, ow)?;
-            self.cached_input = Some(input.clone());
+            // Reuse the cached input's buffer while the batch shape repeats.
+            match &mut self.cached_input {
+                Some(cached) if cached.shape() == input.shape() => {
+                    cached.as_mut_slice().copy_from_slice(input.as_slice());
+                }
+                slot => *slot = Some(input.clone()),
+            }
             return Ok(out);
         }
         let dims = input.shape().dims();
@@ -330,8 +329,11 @@ impl Layer for Conv2d {
         }
         let (oh, ow) = (godims[2], godims[3]);
         if self.algo == ConvAlgo::Im2col {
-            let input = input.clone();
-            return self.backward_im2col(&input, grad_out);
+            // Taken out for the call so no copy is needed; always restored.
+            let input = self.cached_input.take().expect("checked above");
+            let grad_in = self.backward_im2col(&input, grad_out);
+            self.cached_input = Some(input);
+            return grad_in;
         }
         let (co, k, s, p) = (self.out_channels, self.kernel, self.stride, self.pad);
 
@@ -586,6 +588,27 @@ mod tests {
             for (p, q) in a.grad_bias.as_slice().iter().zip(b.grad_bias.as_slice()) {
                 assert!((p - q).abs() < 1e-3, "k={k}: bias grad {p} vs {q}");
             }
+        }
+    }
+
+    #[test]
+    fn zero_height_input_yields_the_bias_under_both_algorithms() {
+        // Every tap falls in the padding, so each output is its bias.
+        let mut rng = StdRng::seed_from_u64(3);
+        for algo in [ConvAlgo::Direct, ConvAlgo::Im2col] {
+            let mut conv = Conv2d::new(2, 3, 1, 1, 1, &mut rng)
+                .unwrap()
+                .with_algo(algo);
+            conv.bias = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]).unwrap();
+            let y = conv.forward(&Tensor::zeros([2, 2, 0, 3])).unwrap();
+            assert_eq!(y.shape().dims(), &[2, 3, 2, 5]);
+            let want: Vec<f32> = [1.0, 2.0, 3.0, 1.0, 2.0, 3.0]
+                .iter()
+                .flat_map(|&b| [b; 10])
+                .collect();
+            assert_eq!(y.as_slice(), &want[..], "{algo:?}");
+            let gx = conv.backward(&Tensor::ones(y.shape().clone())).unwrap();
+            assert_eq!(gx.shape().dims(), &[2, 2, 0, 3]);
         }
     }
 

@@ -197,7 +197,7 @@ impl Tensor {
         Tensor::from_vec(out, &[m][..])
     }
 
-    /// Transpose of a rank-2 tensor.
+    /// Transpose of a rank-2 tensor, copied in bands of 16 rows.
     ///
     /// # Errors
     ///
@@ -211,11 +211,18 @@ impl Tensor {
             });
         }
         let (m, n) = (self.shape().dim(0), self.shape().dim(1));
-        let a = self.as_slice();
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = a[i * n + j];
+        if n > 0 {
+            // Bands of 16 rows stay in cache while each of their columns is
+            // written out as one contiguous run of `out`.
+            for (t, band) in self.as_slice().chunks(16 * n).enumerate() {
+                let (i0, rows) = (t * 16, band.len() / n);
+                for j in 0..n {
+                    let dst = &mut out[j * m + i0..j * m + i0 + rows];
+                    for (d, row) in dst.iter_mut().zip(band.chunks_exact(n)) {
+                        *d = row[j];
+                    }
+                }
             }
         }
         Tensor::from_vec(out, &[n, m][..])
@@ -347,6 +354,20 @@ mod tests {
         let tt = a.transpose().unwrap().transpose().unwrap();
         assert_eq!(tt, a);
         assert_eq!(a.transpose().unwrap().shape().dims(), &[3, 2]);
+    }
+
+    #[test]
+    fn transpose_matches_the_definition_across_band_edges() {
+        for (m, n) in [(17, 33), (33, 17), (16, 1), (0, 3), (3, 0)] {
+            let a = Tensor::from_vec((0..m * n).map(|x| x as f32).collect(), &[m, n][..]).unwrap();
+            let t = a.transpose().unwrap();
+            assert_eq!(t.shape().dims(), &[n, m]);
+            for i in 0..m {
+                for j in 0..n {
+                    assert_eq!(t.at(j * m + i), a.at(i * n + j), "{m}×{n} at ({i},{j})");
+                }
+            }
+        }
     }
 
     #[test]
