@@ -245,7 +245,7 @@ impl Coordinator {
             fingerprint,
             job,
         })?;
-        telemetry.add_journal_record();
+        telemetry.journal_records.add(1);
 
         // Re-validate the WAL's claims against the spill files: a round
         // counts as complete iff every shard's spill decodes and matches
@@ -279,7 +279,7 @@ impl Coordinator {
             break;
         }
         let recovered = merges.len() as u64;
-        telemetry.add_rounds_recovered(recovered);
+        telemetry.rounds_recovered.add(recovered);
 
         let (finished, init_bytes) = if recovered == opts.rounds {
             current = opts.rounds - 1;
@@ -302,7 +302,7 @@ impl Coordinator {
                 })
                 .is_ok()
         {
-            telemetry.add_journal_record();
+            telemetry.journal_records.add(1);
         }
         let spec_bytes = base.job().encode();
         Ok(Coordinator {
@@ -463,7 +463,7 @@ impl Coordinator {
         // state is touched.
         match request {
             Request::Submit { epoch, .. } if *epoch != self.epoch => {
-                self.telemetry.add_stale_submission_rejected();
+                self.telemetry.stale_submissions_rejected.add(1);
                 return Response::Stale { epoch: self.epoch };
             }
             Request::Heartbeat { epoch, .. } if *epoch != self.epoch => {
@@ -543,7 +543,7 @@ impl Coordinator {
             };
             return match recorded {
                 Some(first) if first == bytes => {
-                    self.telemetry.add_duplicate_result();
+                    self.telemetry.duplicate_results.add(1);
                     Response::Accepted { fresh: false }
                 }
                 Some(_) => Response::Error {
@@ -604,7 +604,7 @@ impl Coordinator {
             checksum,
         };
         if journal.append(&record).is_ok() {
-            self.telemetry.add_journal_record();
+            self.telemetry.journal_records.add(1);
         }
     }
 
@@ -613,7 +613,7 @@ impl Coordinator {
     fn journal_append(&self, state: &mut RoundState, record: WalRecord) {
         if let Some(journal) = state.journal.as_mut() {
             if journal.append(&record).is_ok() {
-                self.telemetry.add_journal_record();
+                self.telemetry.journal_records.add(1);
             }
         }
     }
@@ -727,7 +727,8 @@ impl Coordinator {
                 Some(_slot) => self.handle(request),
                 None => {
                     let backoff_ms = self.opts.backoff_ms;
-                    self.telemetry.add_retry_served(backoff_ms);
+                    self.telemetry.retries_served.add(1);
+                    self.telemetry.retry_sleep_ms.add(backoff_ms);
                     Response::Retry { backoff_ms }
                 }
             }

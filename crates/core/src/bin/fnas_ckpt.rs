@@ -21,6 +21,7 @@ use std::process::ExitCode;
 
 use fnas::checkpoint::{SearchCheckpoint, MAGIC, VERSION};
 use fnas::report::{pct, Table};
+use fnas_exec::Persistence;
 
 /// Renders the full inspection report for a decoded checkpoint.
 fn render(ckpt: &SearchCheckpoint) -> String {
@@ -104,23 +105,17 @@ fn render(ckpt: &SearchCheckpoint) -> String {
     out
 }
 
-/// The persisted counters, paired with their display names (shared by the
-/// render table and the diff).
-fn counter_fields(t: &fnas::search::TelemetrySnapshot) -> [(&'static str, u64); 12] {
-    [
-        ("children sampled", t.children_sampled),
-        ("children pruned", t.children_pruned),
-        ("children trained", t.children_trained),
-        ("children unbuildable", t.children_unbuildable),
-        ("children failed", t.children_failed),
-        ("episodes", t.episodes),
-        ("panics caught", t.panics_caught),
-        ("oracle retries", t.retries),
-        ("quarantined accuracies", t.quarantined),
-        ("checkpoints written", t.checkpoints_written),
-        ("analyzer calls", t.analyzer_calls),
-        ("train calls", t.train_calls),
-    ]
+/// The persisted counters, paired with their labels, in table order
+/// (shared by the render table and the diff). `analyzer calls` is
+/// process-local, so it always reads zero in a snapshot, but the report
+/// has always carried its row.
+fn counter_fields(
+    t: &fnas::search::TelemetrySnapshot,
+) -> impl Iterator<Item = (&'static str, u64)> {
+    t.rows()
+        .into_iter()
+        .filter(|r| r.persistence == Persistence::Checkpointed || r.name == "analyzer_calls")
+        .map(|r| (r.label, r.value))
 }
 
 /// Renders the field-level deltas between two checkpoints; every line
@@ -225,10 +220,7 @@ fn diff(a: &SearchCheckpoint, b: &SearchCheckpoint) -> String {
             a.trainer.optimizer.t, b.trainer.optimizer.t
         ));
     }
-    for ((name, va), (_, vb)) in counter_fields(&a.telemetry)
-        .into_iter()
-        .zip(counter_fields(&b.telemetry))
-    {
+    for ((name, va), (_, vb)) in counter_fields(&a.telemetry).zip(counter_fields(&b.telemetry)) {
         if va != vb {
             lines.push(format!(
                 "telemetry {name}: {va} → {vb} ({:+})",

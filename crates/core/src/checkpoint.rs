@@ -32,7 +32,7 @@ use std::path::Path;
 use fnas_codec::{self as codec, Reader, Writer};
 use fnas_controller::arch::{ChildArch, LayerChoice};
 use fnas_controller::reinforce::TrainerState;
-use fnas_exec::TelemetrySnapshot;
+use fnas_exec::{Persistence, TelemetrySnapshot};
 use fnas_fpga::Millis;
 use fnas_nn::optim::AdamState;
 
@@ -102,8 +102,9 @@ pub struct SearchCheckpoint {
     pub cost: SearchCost,
     /// Controller parameters, optimiser moments and update count.
     pub trainer: TrainerState,
-    /// Logical telemetry counters (cache traffic and wall times are
-    /// process-local and not persisted — their fields read zero here).
+    /// Logical telemetry counters: the [`Persistence::Checkpointed`] rows
+    /// (process-local rows, such as cache traffic and wall times, are not
+    /// persisted — their fields read zero here).
     pub telemetry: TelemetrySnapshot,
     /// Every trial explored so far, in exploration order.
     pub trials: Vec<TrialRecord>,
@@ -146,22 +147,11 @@ impl SearchCheckpoint {
             });
         }
         w.u64(self.trainer.updates);
-        // Logical telemetry counters.
-        let t = &self.telemetry;
-        for c in [
-            t.children_sampled,
-            t.children_pruned,
-            t.children_trained,
-            t.children_unbuildable,
-            t.children_failed,
-            t.episodes,
-            t.panics_caught,
-            t.retries,
-            t.quarantined,
-            t.checkpoints_written,
-            t.train_calls,
-        ] {
-            w.u64(c);
+        // Logical telemetry counters: the checkpointed rows, in table order.
+        for row in self.telemetry.rows() {
+            if row.persistence == Persistence::Checkpointed {
+                w.u64(row.value);
+            }
         }
         // Trials.
         w.len64(self.trials.len());
@@ -256,20 +246,7 @@ impl SearchCheckpoint {
             optimizer: AdamState { t, moments },
             updates,
         };
-        let telemetry = TelemetrySnapshot {
-            children_sampled: r.u64()?,
-            children_pruned: r.u64()?,
-            children_trained: r.u64()?,
-            children_unbuildable: r.u64()?,
-            children_failed: r.u64()?,
-            episodes: r.u64()?,
-            panics_caught: r.u64()?,
-            retries: r.u64()?,
-            quarantined: r.u64()?,
-            checkpoints_written: r.u64()?,
-            train_calls: r.u64()?,
-            ..TelemetrySnapshot::default()
-        };
+        let telemetry = TelemetrySnapshot::from_checkpointed(|| r.u64())?;
         let n_trials = r.len64()?;
         let mut trials = Vec::with_capacity(n_trials);
         for _ in 0..n_trials {
@@ -576,20 +553,12 @@ mod tests {
                 },
                 updates: 17,
             },
-            telemetry: TelemetrySnapshot {
-                children_sampled: 24,
-                children_pruned: 6,
-                children_trained: 15,
-                children_unbuildable: 2,
-                children_failed: 1,
-                episodes: 3,
-                panics_caught: 1,
-                retries: 4,
-                quarantined: 1,
-                checkpoints_written: 2,
-                train_calls: 16,
-                ..TelemetrySnapshot::default()
-            },
+            // The checkpointed counters, sampled first, in table order.
+            telemetry: TelemetrySnapshot::from_checkpointed({
+                let mut counts = [24, 6, 15, 2, 1, 3, 1, 4, 1, 2, 16].into_iter();
+                move || counts.next().ok_or(())
+            })
+            .unwrap(),
             trials: vec![
                 TrialRecord {
                     index: 0,

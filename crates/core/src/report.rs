@@ -293,5 +293,32 @@ mod tests {
         assert!(md.contains("| partitions built | 4 |"));
         assert!(md.contains("| cross-partition events | 96 |"));
         assert!(md.contains("total wall (ms)"));
+
+        // A saturated merge (as in the telemetry crate's saturation test)
+        // renders instead of overflowing in the rate and total rows.
+        let edge = TelemetrySnapshot {
+            children_sampled: u64::MAX - 1,
+            latency_cache_hits: u64::MAX,
+            accuracy_cache_misses: u64::MAX,
+            store_hits: u64::MAX,
+            sample_time: Duration::MAX,
+            ..Default::default()
+        };
+        let saturated = edge.merge(&TelemetrySnapshot {
+            children_sampled: 7,
+            latency_cache_misses: 1,
+            accuracy_cache_hits: 1,
+            store_misses: u64::MAX,
+            update_time: Duration::from_secs(1),
+            ..Default::default()
+        });
+        let md = telemetry_table(&saturated).to_markdown();
+        assert!(md.contains(&format!("| children sampled | {} |", u64::MAX)));
+        assert!(md.contains("| latency cache hit rate | 100.00% |"));
+        assert!(md.contains("| store hit rate | 100.00% |"));
+        assert!(md.contains(&format!(
+            "| total wall (ms) | {:.1} |",
+            Duration::MAX.as_secs_f64() * 1e3
+        )));
     }
 }

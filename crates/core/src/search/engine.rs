@@ -21,7 +21,6 @@ use crate::evaluator::{AccuracyEvaluator, SurrogateEvaluator, TrainedEvaluator};
 use crate::experiment::ExperimentPreset;
 use crate::latency::LatencyEvaluator;
 use crate::mapping::arch_to_network;
-use crate::resilience::FaultStatsSnapshot;
 use crate::{FnasError, Result};
 
 use super::config::{BatchOptions, CheckpointOptions, CheckpointPolicy, SearchConfig, SearchMode};
@@ -416,7 +415,6 @@ impl Searcher {
             episode += 1;
             if let Some(c) = ckpt {
                 if episode.is_multiple_of(c.every_episodes()) {
-                    telemetry.add_checkpoint_written();
                     let (shard_index, shard_count) = c.shard();
                     let snap = SearchCheckpoint {
                         shard_index,
@@ -430,7 +428,7 @@ impl Searcher {
                         baseline: baseline.raw_value(),
                         cost,
                         trainer: trainer.export_state(),
-                        telemetry: logical_counters(oracle, &telemetry, fault_base),
+                        telemetry: oracle.record_checkpoint(&telemetry, fault_base),
                         trials: trials.clone(),
                     };
                     snap.save(c.path())?;
@@ -444,8 +442,10 @@ impl Searcher {
 
         oracle.charge_cache_deltas(&telemetry, cache_base);
         if let Some(stats) = oracle.fault_stats() {
-            telemetry.add_retries(stats.retries - fault_base.retries);
-            telemetry.add_quarantined(stats.quarantined - fault_base.quarantined);
+            telemetry.retries.add(stats.retries - fault_base.retries);
+            telemetry
+                .quarantined
+                .add(stats.quarantined - fault_base.quarantined);
         }
         Ok(SearchOutcome {
             mode,
@@ -464,20 +464,18 @@ impl Searcher {
         cache_base: CacheCounterBase,
     ) -> TelemetrySnapshot {
         let telemetry = SearchTelemetry::new();
-        telemetry.add_sampled(trials.len() as u64);
+        telemetry.children_sampled.add(trials.len() as u64);
         for t in trials {
             if t.trained {
-                telemetry.add_trained();
-                telemetry.add_train_calls(1);
+                telemetry.children_trained.add(1);
+                telemetry.train_calls.add(1);
             } else if t.latency.is_some() {
-                telemetry.add_pruned();
+                telemetry.children_pruned.add(1);
             } else {
-                telemetry.add_unbuildable();
+                telemetry.children_unbuildable.add(1);
             }
         }
-        for _ in 0..episodes {
-            telemetry.add_episode();
-        }
+        telemetry.episodes.add(episodes);
         self.oracle.charge_cache_deltas(&telemetry, cache_base);
         telemetry.snapshot()
     }
@@ -536,44 +534,8 @@ impl Searcher {
             baseline: self.baseline.raw_value(),
             cost: outcome.cost,
             trainer: self.trainer.export_state(),
-            telemetry: logical_slice(&outcome.telemetry),
+            telemetry: outcome.telemetry.persisted(),
             trials: outcome.trials.clone(),
         }
-    }
-}
-
-/// The process-independent slice of the live telemetry: logical counters
-/// (including fault deltas accrued by the oracle so far), with cache
-/// traffic, analyzer calls and wall times zeroed — those describe *this*
-/// process and must not be replayed into a resumed run's accounting.
-fn logical_counters(
-    oracle: &ChildOracle,
-    telemetry: &SearchTelemetry,
-    fault_base: FaultStatsSnapshot,
-) -> TelemetrySnapshot {
-    let mut s = logical_slice(&telemetry.snapshot());
-    if let Some(f) = oracle.fault_stats() {
-        s.retries += f.retries - fault_base.retries;
-        s.quarantined += f.quarantined - fault_base.quarantined;
-    }
-    s
-}
-
-/// Projects a snapshot onto its logical counters, zeroing cache traffic,
-/// analyzer calls and wall times.
-fn logical_slice(live: &TelemetrySnapshot) -> TelemetrySnapshot {
-    TelemetrySnapshot {
-        children_sampled: live.children_sampled,
-        children_pruned: live.children_pruned,
-        children_trained: live.children_trained,
-        children_unbuildable: live.children_unbuildable,
-        children_failed: live.children_failed,
-        episodes: live.episodes,
-        panics_caught: live.panics_caught,
-        retries: live.retries,
-        quarantined: live.quarantined,
-        checkpoints_written: live.checkpoints_written,
-        train_calls: live.train_calls,
-        ..TelemetrySnapshot::default()
     }
 }

@@ -165,7 +165,7 @@ impl<'a> EpisodeRunner<'a> {
             }
             batch
         };
-        telemetry.add_sampled(n as u64);
+        telemetry.children_sampled.add(n as u64);
         let archs: Vec<ChildArch> = samples.iter().map(|s| s.arch().clone()).collect();
 
         let oracle = self.oracle;
@@ -187,7 +187,9 @@ impl<'a> EpisodeRunner<'a> {
                 .collect(),
             SearchMode::Nas => vec![true; archs.len()],
         };
-        telemetry.add_train_calls(needs_accuracy.iter().filter(|&&b| b).count() as u64);
+        telemetry
+            .train_calls
+            .add(needs_accuracy.iter().filter(|&&b| b).count() as u64);
 
         let run_seed = self.config.seed();
         let episode = snapshot.episode;
@@ -226,7 +228,7 @@ impl<'a> EpisodeRunner<'a> {
             let accuracy: Option<Result<f32>> = match settled {
                 Ok(acc) => acc,
                 Err(fault) => {
-                    telemetry.add_panic_caught();
+                    telemetry.panics_caught.add(1);
                     Some(Err(FnasError::Oracle {
                         what: fault.to_string(),
                         transient: fault.is_timeout(),
@@ -238,7 +240,7 @@ impl<'a> EpisodeRunner<'a> {
                     cost.add(self.cost_model.analyzer_cost());
                     match latency {
                         Err(_) => {
-                            telemetry.add_unbuildable();
+                            telemetry.children_unbuildable.add(1);
                             TrialRecord {
                                 index,
                                 arch,
@@ -251,7 +253,7 @@ impl<'a> EpisodeRunner<'a> {
                         Ok(l) if l.get() > required.get() => {
                             let reward = self.oracle.violation_reward(l, required);
                             if self.config.pruning() {
-                                telemetry.add_pruned();
+                                telemetry.children_pruned.add(1);
                                 TrialRecord {
                                     index,
                                     arch,
@@ -264,7 +266,7 @@ impl<'a> EpisodeRunner<'a> {
                                 match accuracy.expect("ablation evaluates violators") {
                                     Ok(accuracy) => {
                                         cost.add(self.training_cost(&arch, preset)?);
-                                        telemetry.add_trained();
+                                        telemetry.children_trained.add(1);
                                         TrialRecord {
                                             index,
                                             arch,
@@ -290,7 +292,7 @@ impl<'a> EpisodeRunner<'a> {
                                 );
                                 baseline.observe(accuracy);
                                 cost.add(self.training_cost(&arch, preset)?);
-                                telemetry.add_trained();
+                                telemetry.children_trained.add(1);
                                 TrialRecord {
                                     index,
                                     arch,
@@ -310,7 +312,7 @@ impl<'a> EpisodeRunner<'a> {
                         let reward = accuracy - baseline.value();
                         baseline.observe(accuracy);
                         cost.add(self.training_cost(&arch, preset)?);
-                        telemetry.add_trained();
+                        telemetry.children_trained.add(1);
                         TrialRecord {
                             index,
                             arch,
@@ -336,7 +338,7 @@ impl<'a> EpisodeRunner<'a> {
             }
         }
         drop(_t);
-        telemetry.add_episode();
+        telemetry.episodes.add(1);
 
         Ok(EpisodeResult {
             episode,

@@ -11,7 +11,7 @@
 //! to every worker.
 
 use fnas_controller::arch::ChildArch;
-use fnas_exec::{Deadline, SearchTelemetry, ShardedCache};
+use fnas_exec::{Deadline, SearchTelemetry, ShardedCache, TelemetrySnapshot};
 use fnas_fpga::Millis;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -173,40 +173,56 @@ impl ChildOracle {
         }
     }
 
-    /// Charges the cache traffic since `base` into `telemetry`.
-    pub(super) fn charge_cache_deltas(&self, telemetry: &SearchTelemetry, base: CacheCounterBase) {
-        telemetry.add_latency_cache(
-            self.latency.cache_hits() - base.latency_hits,
-            self.latency.cache_misses() - base.latency_misses,
-        );
-        telemetry.add_analyzer_calls(self.latency.analyzer_calls() - base.analyzer_calls);
-        telemetry.add_accuracy_cache(
-            self.accuracy_cache.hits() - base.accuracy_hits,
-            self.accuracy_cache.misses() - base.accuracy_misses,
-        );
+    /// Charges the cache traffic since `base` into `t`.
+    pub(super) fn charge_cache_deltas(&self, t: &SearchTelemetry, base: CacheCounterBase) {
+        t.latency_cache_hits
+            .add(self.latency.cache_hits() - base.latency_hits);
+        t.latency_cache_misses
+            .add(self.latency.cache_misses() - base.latency_misses);
+        t.analyzer_calls
+            .add(self.latency.analyzer_calls() - base.analyzer_calls);
+        t.accuracy_cache_hits
+            .add(self.accuracy_cache.hits() - base.accuracy_hits);
+        t.accuracy_cache_misses
+            .add(self.accuracy_cache.misses() - base.accuracy_misses);
         // The store handle may be shared beyond this run (one DiskStore per
         // worker process); saturate so an out-of-run decrease can't wrap.
         let store = self.latency.store_counters();
-        telemetry.add_store_cache(
-            store.hits.saturating_sub(base.store_hits),
-            store.misses.saturating_sub(base.store_misses),
-            store.writes.saturating_sub(base.store_writes),
-        );
-        telemetry.add_store_state(
-            store.evictions.saturating_sub(base.store_evictions),
-            store.bytes_on_disk,
-        );
-        let passes = self.latency.pass_counters();
-        telemetry.add_pass_nanos(
-            passes.design_ns - base.passes.design_ns,
-            passes.graph_ns - base.passes.graph_ns,
-            passes.partition_ns - base.passes.partition_ns,
-            passes.schedule_ns - base.passes.schedule_ns,
-            passes.sim_ns - base.passes.sim_ns,
-        );
-        telemetry.add_partition_stats(
-            passes.partitions_built - base.passes.partitions_built,
-            passes.cross_partition_events - base.passes.cross_partition_events,
-        );
+        t.store_hits.add(store.hits.saturating_sub(base.store_hits));
+        t.store_misses
+            .add(store.misses.saturating_sub(base.store_misses));
+        t.store_writes
+            .add(store.writes.saturating_sub(base.store_writes));
+        t.store_evictions
+            .add(store.evictions.saturating_sub(base.store_evictions));
+        t.store_bytes.max(store.bytes_on_disk);
+        let (p, b) = (self.latency.pass_counters(), base.passes);
+        t.pass_design_ns.add(p.design_ns - b.design_ns);
+        t.pass_graph_ns.add(p.graph_ns - b.graph_ns);
+        t.pass_partition_ns.add(p.partition_ns - b.partition_ns);
+        t.pass_schedule_ns.add(p.schedule_ns - b.schedule_ns);
+        t.pass_sim_ns.add(p.sim_ns - b.sim_ns);
+        t.partitions_built
+            .add(p.partitions_built - b.partitions_built);
+        t.cross_partition_events
+            .add(p.cross_partition_events - b.cross_partition_events);
+    }
+
+    /// Records one checkpoint write into `telemetry` and returns the
+    /// counters that checkpoint carries: the live checkpointed rows plus
+    /// the fault deltas accrued since `fault_base`, which the engine only
+    /// charges into the live counters when the run ends.
+    pub(super) fn record_checkpoint(
+        &self,
+        telemetry: &SearchTelemetry,
+        fault_base: FaultStatsSnapshot,
+    ) -> TelemetrySnapshot {
+        telemetry.checkpoints_written.add(1);
+        let mut s = telemetry.snapshot().persisted();
+        if let Some(f) = self.fault_stats() {
+            s.retries += f.retries - fault_base.retries;
+            s.quarantined += f.quarantined - fault_base.quarantined;
+        }
+        s
     }
 }

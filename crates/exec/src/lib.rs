@@ -19,9 +19,9 @@
 //!   hit/miss counters and **single-flight** fallible inserts: concurrent
 //!   misses on one key elect a leader to run the builder exactly once
 //!   while followers wait and share the value;
-//! * [`telemetry`] — atomic counters and monotonic phase timers
-//!   ([`SearchTelemetry`]) snapshotting into a plain
-//!   [`TelemetrySnapshot`] for reports;
+//! * [`telemetry`] — one declarative table of atomic counters and
+//!   monotonic phase timers ([`SearchTelemetry`]) snapshotting into a
+//!   plain [`TelemetrySnapshot`] for reports;
 //! * [`seed`] — the deterministic per-child seed derivation
 //!   ([`derive_child_seed`]) that makes results bit-identical regardless
 //!   of worker count;
@@ -45,5 +45,5 @@ pub mod watchdog;
 pub use cache::ShardedCache;
 pub use executor::{Executor, TaskFault};
 pub use seed::{derive_child_seed, derive_round_seed, derive_shard_seed};
-pub use telemetry::{Phase, SearchTelemetry, TelemetrySnapshot};
+pub use telemetry::{Counter, Gauge, Persistence, Phase, Row, SearchTelemetry, TelemetrySnapshot};
 pub use watchdog::{Deadline, DeadlineExceeded, Watchdog};

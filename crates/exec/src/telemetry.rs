@@ -1,12 +1,19 @@
-//! Search telemetry: atomic counters and monotonic phase timers.
+//! Search telemetry: one table of atomic counters and monotonic phase timers.
 //!
 //! The engine records what the search actually did — children sampled,
 //! pruned, trained, cache traffic, analyzer/train calls — and how long
-//! each phase of the batch loop took on the wall clock. Counters are
-//! monotonic `AtomicU64`s (overflow-safe for any feasible run length;
-//! the `usize` fields they replace wrap after 2³² on 32-bit targets) so
-//! workers can bump them without locks; a [`SearchTelemetry::snapshot`]
-//! freezes everything into a plain [`TelemetrySnapshot`] for reporting.
+//! each phase of the batch loop took on the wall clock. Every counter is
+//! one row of the table at the bottom of this module: its field name, its
+//! doc, its value type, its live cell (a summed [`Counter`] or a
+//! max-merged [`Gauge`]), its [`Persistence`] and its label. The live
+//! [`SearchTelemetry`], the frozen [`TelemetrySnapshot`], both merges,
+//! checkpoint restore and the checkpointed projection are all derived from
+//! that table, so adding a metric is one row (DESIGN.md §21).
+//!
+//! Cells are monotonic `AtomicU64`s (overflow-safe for any feasible run
+//! length) so workers can bump them without locks; a
+//! [`SearchTelemetry::snapshot`] freezes everything into a plain
+//! [`TelemetrySnapshot`] for reporting.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,304 +32,340 @@ pub enum Phase {
     Update,
 }
 
-/// Live counters shared by the engine and its workers.
+/// Whether a counter is logical search progress or describes one process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Persistence {
+    /// Written into `FNASCKPT` snapshots, in table order, and pre-loaded
+    /// by [`SearchTelemetry::restore_counters`] on resume.
+    Checkpointed,
+    /// Work done by *this* process (cache traffic, analyzer calls,
+    /// coordinator events, wall times): never persisted or replayed.
+    Local,
+}
+
+/// A live summed cell: merges add, saturating.
 #[derive(Debug, Default)]
-pub struct SearchTelemetry {
-    children_sampled: AtomicU64,
-    children_pruned: AtomicU64,
-    children_trained: AtomicU64,
-    children_unbuildable: AtomicU64,
-    children_failed: AtomicU64,
-    episodes: AtomicU64,
-    panics_caught: AtomicU64,
-    retries: AtomicU64,
-    quarantined: AtomicU64,
-    checkpoints_written: AtomicU64,
-    leases_expired: AtomicU64,
-    shards_redispatched: AtomicU64,
-    duplicate_results: AtomicU64,
-    journal_records: AtomicU64,
-    rounds_recovered: AtomicU64,
-    stale_submissions_rejected: AtomicU64,
-    retries_served: AtomicU64,
-    retry_sleep_ms: AtomicU64,
-    analyzer_calls: AtomicU64,
-    train_calls: AtomicU64,
-    latency_cache_hits: AtomicU64,
-    latency_cache_misses: AtomicU64,
-    accuracy_cache_hits: AtomicU64,
-    accuracy_cache_misses: AtomicU64,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    store_writes: AtomicU64,
-    store_evictions: AtomicU64,
-    store_bytes: AtomicU64,
-    pass_design_ns: AtomicU64,
-    pass_graph_ns: AtomicU64,
-    pass_partition_ns: AtomicU64,
-    pass_schedule_ns: AtomicU64,
-    pass_sim_ns: AtomicU64,
-    partitions_built: AtomicU64,
-    cross_partition_events: AtomicU64,
-    sample_nanos: AtomicU64,
-    latency_nanos: AtomicU64,
-    accuracy_nanos: AtomicU64,
-    update_nanos: AtomicU64,
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds `n`: one `Relaxed` `fetch_add`, cheap enough for worker hot
+    /// paths.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// A live gauge cell: keeps the largest value seen, so merges stay
+/// commutative.
+#[derive(Debug, Default)]
+pub struct Gauge(AtomicU64);
+
+impl Gauge {
+    /// Raises the gauge to `v` when `v` is larger.
+    pub fn max(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+}
+
+/// A merge policy, carried by the type of a row's live cell.
+trait Merge {
+    /// Folds a raw value into the live cell.
+    fn fold(&self, raw: u64);
+    /// The pure merge of two snapshot values.
+    fn merge<V: Value>(a: V, b: V) -> V;
+}
+
+impl Merge for Counter {
+    fn fold(&self, n: u64) {
+        // `fetch_add` wraps; merging counters from many shards must never
+        // overflow a `u64` back to a small number, so saturate through a
+        // CAS loop instead.
+        let mut cur = self.0.load(Ordering::Relaxed);
+        while let Err(seen) = self.0.compare_exchange_weak(
+            cur,
+            cur.saturating_add(n),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
+            cur = seen;
+        }
+    }
+
+    fn merge<V: Value>(a: V, b: V) -> V {
+        a.saturating_add(b)
+    }
+}
+
+impl Merge for Gauge {
+    fn fold(&self, v: u64) {
+        self.max(v);
+    }
+
+    fn merge<V: Value>(a: V, b: V) -> V {
+        a.max(b)
+    }
+}
+
+/// A snapshot field type; its live cell holds the raw `u64` form.
+trait Value: Copy + Ord {
+    fn from_raw(raw: u64) -> Self;
+    fn raw(self) -> u64;
+    fn saturating_add(self, other: Self) -> Self;
+}
+
+impl Value for u64 {
+    fn from_raw(raw: u64) -> Self {
+        raw
+    }
+
+    fn raw(self) -> u64 {
+        self
+    }
+
+    fn saturating_add(self, other: Self) -> Self {
+        u64::saturating_add(self, other)
+    }
+}
+
+/// Wall times live as nanoseconds.
+impl Value for Duration {
+    fn from_raw(raw: u64) -> Self {
+        Duration::from_nanos(raw)
+    }
+
+    fn raw(self) -> u64 {
+        u64::try_from(self.as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    fn saturating_add(self, other: Self) -> Self {
+        Duration::saturating_add(self, other)
+    }
+}
+
+/// One row of the counter table, read off a snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    /// The field name on [`SearchTelemetry`] and [`TelemetrySnapshot`].
+    pub name: &'static str,
+    /// Human-readable label, as the metric tables print it.
+    pub label: &'static str,
+    /// Whether checkpoints carry the row.
+    pub persistence: Persistence,
+    /// The raw value: the count, or nanoseconds for a wall-time row.
+    pub value: u64,
+}
+
+/// Expands the counter table into the live and frozen structs and every
+/// per-row operation on them.
+macro_rules! counter_table {
+    ($(
+        $(#[doc = $doc:literal])*
+        $name:ident: $ty:ty, $cell:ident, $persist:ident, $label:literal;
+    )*) => {
+        /// Live counters shared by the engine and its workers, one cell per
+        /// row of the counter table. Record with [`Counter::add`] and
+        /// [`Gauge::max`] on the named cell.
+        #[derive(Debug, Default)]
+        pub struct SearchTelemetry {
+            $($(#[doc = $doc])* pub $name: $cell,)*
+        }
+
+        /// A frozen view of [`SearchTelemetry`], safe to store in search
+        /// outcomes and render into reports.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct TelemetrySnapshot {
+            $($(#[doc = $doc])* pub $name: $ty,)*
+        }
+
+        impl SearchTelemetry {
+            /// Freezes the current values into a plain snapshot.
+            pub fn snapshot(&self) -> TelemetrySnapshot {
+                TelemetrySnapshot {
+                    $($name: Value::from_raw(self.$name.0.load(Ordering::Relaxed)),)*
+                }
+            }
+
+            /// Folds a frozen snapshot into the live counters — the
+            /// engine's path for absorbing an episode's telemetry delta.
+            /// Matches [`TelemetrySnapshot::merge`]: sums **saturate**
+            /// instead of wrapping, gauges keep the maximum.
+            pub fn merge_snapshot(&self, s: &TelemetrySnapshot) {
+                $(self.$name.fold(s.$name.raw());)*
+            }
+
+            /// Pre-loads the [`Persistence::Checkpointed`] counters from a
+            /// snapshot (checkpoint resume). Process-local rows describe
+            /// work actually performed by *this* process and are not
+            /// replayed.
+            pub fn restore_counters(&self, s: &TelemetrySnapshot) {
+                $(if Persistence::$persist == Persistence::Checkpointed {
+                    self.$name.0.store(s.$name.raw(), Ordering::Relaxed);
+                })*
+            }
+        }
+
+        impl TelemetrySnapshot {
+            /// The pure reduction behind every telemetry merge: each row
+            /// merged by its cell's policy — **saturating** addition for
+            /// counters and wall times, maximum for gauges. Both are
+            /// commutative and associative, so folding any number of shard
+            /// snapshots produces the same result in any association order
+            /// (the checkpoint merge still fixes shard order for the float
+            /// state it reduces alongside this).
+            #[must_use]
+            pub fn merge(&self, other: &TelemetrySnapshot) -> TelemetrySnapshot {
+                TelemetrySnapshot {
+                    $($name: <$cell as Merge>::merge(self.$name, other.$name),)*
+                }
+            }
+
+            /// Every row of the counter table, in table order.
+            pub fn rows(&self) -> [Row; ROWS] {
+                [$(Row {
+                    name: stringify!($name),
+                    label: $label,
+                    persistence: Persistence::$persist,
+                    value: self.$name.raw(),
+                },)*]
+            }
+
+            /// The checkpointed projection: process-local rows read zero.
+            #[must_use]
+            pub fn persisted(&self) -> TelemetrySnapshot {
+                let mut s = TelemetrySnapshot::default();
+                $(if Persistence::$persist == Persistence::Checkpointed {
+                    s.$name = self.$name;
+                })*
+                s
+            }
+
+            /// Rebuilds a [`TelemetrySnapshot::persisted`] snapshot from
+            /// its checkpointed values, pulled from `next` in table order
+            /// (the order [`TelemetrySnapshot::rows`] lists them).
+            ///
+            /// # Errors
+            ///
+            /// Returns the first error `next` returns.
+            pub fn from_checkpointed<E>(
+                mut next: impl FnMut() -> Result<u64, E>,
+            ) -> Result<TelemetrySnapshot, E> {
+                let mut s = TelemetrySnapshot::default();
+                $(if Persistence::$persist == Persistence::Checkpointed {
+                    s.$name = Value::from_raw(next()?);
+                })*
+                Ok(s)
+            }
+        }
+
+        /// Rows in the counter table.
+        pub const ROWS: usize = [$(stringify!($name)),*].len();
+    };
+}
+
+// The counter table. Columns: field, value type, live cell (`Counter` sums,
+// `Gauge` keeps the maximum), persistence, label. The `Checkpointed` rows,
+// in this order, are the `FNASCKPT` telemetry section: append new ones
+// after the last, or bump the checkpoint version.
+counter_table! {
+    /// Children sampled from the controller.
+    children_sampled: u64, Counter, Checkpointed, "children sampled";
+    /// Children pruned by the latency spec without training.
+    children_pruned: u64, Counter, Checkpointed, "children pruned";
+    /// Children whose accuracy was evaluated (trained).
+    children_trained: u64, Counter, Checkpointed, "children trained";
+    /// Children that could not be built at all.
+    children_unbuildable: u64, Counter, Checkpointed, "children unbuildable";
+    /// Children whose evaluation faulted (panic, exhausted retries,
+    /// quarantine) and were settled into failed trials.
+    children_failed: u64, Counter, Checkpointed, "children failed";
+    /// Completed episodes (batches).
+    episodes: u64, Counter, Checkpointed, "episodes";
+    /// Child-evaluation panics caught and isolated.
+    panics_caught: u64, Counter, Checkpointed, "panics caught";
+    /// Transient-fault retries issued by the resilient oracle.
+    retries: u64, Counter, Checkpointed, "oracle retries";
+    /// Children quarantined for non-finite accuracies.
+    quarantined: u64, Counter, Checkpointed, "quarantined accuracies";
+    /// Checkpoints written to disk during the run.
+    checkpoints_written: u64, Counter, Checkpointed, "checkpoints written";
+    /// Shard leases that expired without a heartbeat, so the coordinator
+    /// reclaimed the shard (coordinator-side).
+    leases_expired: u64, Counter, Local, "leases expired";
+    /// Shards handed out more than once — speculative straggler copies
+    /// plus expired-lease re-dispatches (coordinator-side).
+    shards_redispatched: u64, Counter, Local, "shards re-dispatched";
+    /// Duplicate shard completions discarded first-wins after the
+    /// byte-compare assertion (coordinator-side).
+    duplicate_results: u64, Counter, Local, "duplicate results";
+    /// Records appended to the coordinator's crash-safe round journal
+    /// (coordinator-side).
+    journal_records: u64, Counter, Local, "journal records";
+    /// Completed rounds resumed from the round journal on coordinator
+    /// restart instead of being re-run (coordinator-side).
+    rounds_recovered: u64, Counter, Local, "rounds recovered";
+    /// Submissions rejected by epoch fencing because they were produced
+    /// under a previous coordinator incarnation (coordinator-side).
+    stale_submissions_rejected: u64, Counter, Local, "stale submissions rejected";
+    /// `Retry` answers served at the submit-admission cap
+    /// (coordinator-side). Workers count the `Retry`s they receive in
+    /// their own `WorkerReport`, not here.
+    retries_served: u64, Counter, Local, "retries served";
+    /// Milliseconds of backoff those `Retry` answers advised
+    /// (coordinator-side).
+    retry_sleep_ms: u64, Counter, Local, "retry sleep (ms)";
+    /// Uncached FNAS-tool (analyzer) invocations.
+    analyzer_calls: u64, Counter, Local, "analyzer calls";
+    /// Accuracy-oracle invocations.
+    train_calls: u64, Counter, Checkpointed, "train calls";
+    /// Latency-cache hits.
+    latency_cache_hits: u64, Counter, Local, "latency cache hits";
+    /// Latency-cache misses.
+    latency_cache_misses: u64, Counter, Local, "latency cache misses";
+    /// Accuracy-cache hits.
+    accuracy_cache_hits: u64, Counter, Local, "accuracy cache hits";
+    /// Accuracy-cache misses.
+    accuracy_cache_misses: u64, Counter, Local, "accuracy cache misses";
+    /// Persistent-store (L2) hits: oracle answers served from disk.
+    store_hits: u64, Counter, Local, "store hits";
+    /// Persistent-store lookups that found no usable record.
+    store_misses: u64, Counter, Local, "store misses";
+    /// Records written through to the persistent store.
+    store_writes: u64, Counter, Local, "store writes";
+    /// Records evicted from the persistent store by garbage collection.
+    store_evictions: u64, Counter, Local, "store evictions";
+    /// Latest known persistent-store size in record bytes (a gauge;
+    /// merged as a maximum, not a sum).
+    store_bytes: u64, Gauge, Local, "store bytes on disk";
+    /// Wall time (ns) in the `design` lowering pass.
+    pass_design_ns: u64, Counter, Local, "pass design (ns)";
+    /// Wall time (ns) in the `taskgraph` lowering pass.
+    pass_graph_ns: u64, Counter, Local, "pass taskgraph (ns)";
+    /// Wall time (ns) in the `partition` lowering pass.
+    pass_partition_ns: u64, Counter, Local, "pass partition (ns)";
+    /// Wall time (ns) in the `schedule` lowering pass.
+    pass_schedule_ns: u64, Counter, Local, "pass schedule (ns)";
+    /// Wall time (ns) in the `sim` pass — cycle simulation, either
+    /// backend.
+    pass_sim_ns: u64, Counter, Local, "pass sim (ns)";
+    /// Regions built by the `partition` pass for the parallel simulator.
+    partitions_built: u64, Counter, Local, "partitions built";
+    /// Cross-partition availability events settled by the partitioned
+    /// simulator.
+    cross_partition_events: u64, Counter, Local, "cross-partition events";
+    /// Wall time in the (serial) sampling phase.
+    sample_time: Duration, Counter, Local, "sample wall (ns)";
+    /// Wall time in the (parallel) latency phase.
+    latency_time: Duration, Counter, Local, "latency wall (ns)";
+    /// Wall time in the (parallel) accuracy phase.
+    accuracy_time: Duration, Counter, Local, "accuracy wall (ns)";
+    /// Wall time in the (serial) reward/update phase.
+    update_time: Duration, Counter, Local, "update wall (ns)";
 }
 
 impl SearchTelemetry {
     /// Fresh, all-zero telemetry.
     pub fn new() -> Self {
         SearchTelemetry::default()
-    }
-
-    /// Records `n` sampled children.
-    pub fn add_sampled(&self, n: u64) {
-        self.children_sampled.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one pruned (latency-violating, untrained) child.
-    pub fn add_pruned(&self) {
-        self.children_pruned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one trained child.
-    pub fn add_trained(&self) {
-        self.children_trained.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one unbuildable child.
-    pub fn add_unbuildable(&self) {
-        self.children_unbuildable.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one child whose evaluation faulted (panicked, exhausted its
-    /// retry budget, or was quarantined) without killing the run.
-    pub fn add_failed(&self) {
-        self.children_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one completed episode (batch).
-    pub fn add_episode(&self) {
-        self.episodes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one child-evaluation panic caught and settled into a failed
-    /// trial instead of propagating.
-    pub fn add_panic_caught(&self) {
-        self.panics_caught.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` transient-fault retries issued by the resilient oracle.
-    pub fn add_retries(&self, n: u64) {
-        self.retries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` children quarantined for returning non-finite
-    /// accuracies.
-    pub fn add_quarantined(&self, n: u64) {
-        self.quarantined.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one checkpoint written to disk.
-    pub fn add_checkpoint_written(&self) {
-        self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one shard lease that expired without a heartbeat (the
-    /// coordinator reclaimed the shard for re-dispatch).
-    pub fn add_lease_expired(&self) {
-        self.leases_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one shard handed out again — speculatively (straggler) or
-    /// after its lease expired.
-    pub fn add_shard_redispatched(&self) {
-        self.shards_redispatched.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one duplicate shard completion discarded by the
-    /// coordinator's first-wins rule (after the byte-compare assertion).
-    pub fn add_duplicate_result(&self) {
-        self.duplicate_results.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one record appended to the coordinator's round journal.
-    pub fn add_journal_record(&self) {
-        self.journal_records.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` completed rounds resumed from the round journal on
-    /// coordinator restart instead of being re-run.
-    pub fn add_rounds_recovered(&self, n: u64) {
-        self.rounds_recovered.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one submission rejected by epoch fencing: it was produced
-    /// under a lease issued by a previous coordinator incarnation.
-    pub fn add_stale_submission_rejected(&self) {
-        self.stale_submissions_rejected
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one `Retry` answered (coordinator-side: a deferred
-    /// submission at the admission cap) or received (worker-side),
-    /// together with the backoff it advised or cost.
-    pub fn add_retry_served(&self, backoff_ms: u64) {
-        self.retries_served.fetch_add(1, Ordering::Relaxed);
-        self.retry_sleep_ms.fetch_add(backoff_ms, Ordering::Relaxed);
-    }
-
-    /// Records backoff slept outside a `Retry` answer — connect-retry
-    /// waits on a coordinator that is momentarily unreachable.
-    pub fn add_retry_sleep_ms(&self, ms: u64) {
-        self.retry_sleep_ms.fetch_add(ms, Ordering::Relaxed);
-    }
-
-    /// Pre-loads the logical counters from a snapshot (checkpoint resume):
-    /// everything except cache traffic, analyzer calls and wall times,
-    /// which describe work actually performed by *this* process and are
-    /// not replayed.
-    pub fn restore_counters(&self, s: &TelemetrySnapshot) {
-        let store = |c: &AtomicU64, v: u64| c.store(v, Ordering::Relaxed);
-        store(&self.children_sampled, s.children_sampled);
-        store(&self.children_pruned, s.children_pruned);
-        store(&self.children_trained, s.children_trained);
-        store(&self.children_unbuildable, s.children_unbuildable);
-        store(&self.children_failed, s.children_failed);
-        store(&self.episodes, s.episodes);
-        store(&self.train_calls, s.train_calls);
-        store(&self.panics_caught, s.panics_caught);
-        store(&self.retries, s.retries);
-        store(&self.quarantined, s.quarantined);
-        store(&self.checkpoints_written, s.checkpoints_written);
-    }
-
-    /// Records `n` uncached analyzer invocations.
-    pub fn add_analyzer_calls(&self, n: u64) {
-        self.analyzer_calls.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` accuracy-oracle invocations.
-    pub fn add_train_calls(&self, n: u64) {
-        self.train_calls.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds latency-cache traffic (hit/miss deltas).
-    pub fn add_latency_cache(&self, hits: u64, misses: u64) {
-        self.latency_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.latency_cache_misses
-            .fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Adds accuracy-cache traffic (hit/miss deltas).
-    pub fn add_accuracy_cache(&self, hits: u64, misses: u64) {
-        self.accuracy_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.accuracy_cache_misses
-            .fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Adds persistent-store traffic (hit/miss/write deltas). Like the
-    /// in-memory cache counters, store traffic describes work done by
-    /// *this* process and is never replayed from checkpoints.
-    pub fn add_store_cache(&self, hits: u64, misses: u64, writes: u64) {
-        self.store_hits.fetch_add(hits, Ordering::Relaxed);
-        self.store_misses.fetch_add(misses, Ordering::Relaxed);
-        self.store_writes.fetch_add(writes, Ordering::Relaxed);
-    }
-
-    /// Adds per-pass lowering wall-time deltas, in pipeline order
-    /// (`design → taskgraph → partition → schedule → sim`), in
-    /// nanoseconds. Like cache traffic, pass timings describe work done
-    /// by *this* process and are never replayed from checkpoints.
-    pub fn add_pass_nanos(&self, design: u64, graph: u64, partition: u64, schedule: u64, sim: u64) {
-        self.pass_design_ns.fetch_add(design, Ordering::Relaxed);
-        self.pass_graph_ns.fetch_add(graph, Ordering::Relaxed);
-        self.pass_partition_ns
-            .fetch_add(partition, Ordering::Relaxed);
-        self.pass_schedule_ns.fetch_add(schedule, Ordering::Relaxed);
-        self.pass_sim_ns.fetch_add(sim, Ordering::Relaxed);
-    }
-
-    /// Records partitioned-simulation traffic: regions built by the
-    /// `partition` pass and cross-partition events settled by the
-    /// parallel simulator (process-local, like the pass timings).
-    pub fn add_partition_stats(&self, partitions: u64, cross_events: u64) {
-        self.partitions_built
-            .fetch_add(partitions, Ordering::Relaxed);
-        self.cross_partition_events
-            .fetch_add(cross_events, Ordering::Relaxed);
-    }
-
-    /// Records persistent-store state: an eviction delta, and the latest
-    /// known record bytes on disk (a gauge — kept as a running maximum so
-    /// merges stay commutative).
-    pub fn add_store_state(&self, evictions: u64, bytes_on_disk: u64) {
-        self.store_evictions.fetch_add(evictions, Ordering::Relaxed);
-        self.store_bytes.fetch_max(bytes_on_disk, Ordering::Relaxed);
-    }
-
-    /// Folds a frozen snapshot into the live counters — the engine's path
-    /// for absorbing an episode's telemetry delta, and the reduction the
-    /// checkpoint merge reuses. Every addition **saturates** instead of
-    /// wrapping: merging counters from many shards must never overflow a
-    /// `u64` back to a small number and mis-report a run as short.
-    pub fn merge_snapshot(&self, s: &TelemetrySnapshot) {
-        let add = |cell: &AtomicU64, n: u64| {
-            // `fetch_add` wraps; saturate through a CAS loop instead.
-            let mut cur = cell.load(Ordering::Relaxed);
-            loop {
-                let next = cur.saturating_add(n);
-                match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
-        };
-        add(&self.children_sampled, s.children_sampled);
-        add(&self.children_pruned, s.children_pruned);
-        add(&self.children_trained, s.children_trained);
-        add(&self.children_unbuildable, s.children_unbuildable);
-        add(&self.children_failed, s.children_failed);
-        add(&self.episodes, s.episodes);
-        add(&self.panics_caught, s.panics_caught);
-        add(&self.retries, s.retries);
-        add(&self.quarantined, s.quarantined);
-        add(&self.checkpoints_written, s.checkpoints_written);
-        add(&self.leases_expired, s.leases_expired);
-        add(&self.shards_redispatched, s.shards_redispatched);
-        add(&self.duplicate_results, s.duplicate_results);
-        add(&self.journal_records, s.journal_records);
-        add(&self.rounds_recovered, s.rounds_recovered);
-        add(
-            &self.stale_submissions_rejected,
-            s.stale_submissions_rejected,
-        );
-        add(&self.retries_served, s.retries_served);
-        add(&self.retry_sleep_ms, s.retry_sleep_ms);
-        add(&self.analyzer_calls, s.analyzer_calls);
-        add(&self.train_calls, s.train_calls);
-        add(&self.latency_cache_hits, s.latency_cache_hits);
-        add(&self.latency_cache_misses, s.latency_cache_misses);
-        add(&self.accuracy_cache_hits, s.accuracy_cache_hits);
-        add(&self.accuracy_cache_misses, s.accuracy_cache_misses);
-        add(&self.store_hits, s.store_hits);
-        add(&self.store_misses, s.store_misses);
-        add(&self.store_writes, s.store_writes);
-        add(&self.store_evictions, s.store_evictions);
-        // Bytes on disk is a gauge, not a flow: keep the largest view.
-        self.store_bytes.fetch_max(s.store_bytes, Ordering::Relaxed);
-        add(&self.pass_design_ns, s.pass_design_ns);
-        add(&self.pass_graph_ns, s.pass_graph_ns);
-        add(&self.pass_partition_ns, s.pass_partition_ns);
-        add(&self.pass_schedule_ns, s.pass_schedule_ns);
-        add(&self.pass_sim_ns, s.pass_sim_ns);
-        add(&self.partitions_built, s.partitions_built);
-        add(&self.cross_partition_events, s.cross_partition_events);
-        add(&self.sample_nanos, duration_nanos(s.sample_time));
-        add(&self.latency_nanos, duration_nanos(s.latency_time));
-        add(&self.accuracy_nanos, duration_nanos(s.accuracy_time));
-        add(&self.update_nanos, duration_nanos(s.update_time));
     }
 
     /// Starts a monotonic timer attributing its lifetime to `phase`.
@@ -335,59 +378,12 @@ impl SearchTelemetry {
         }
     }
 
-    fn phase_cell(&self, phase: Phase) -> &AtomicU64 {
+    fn phase_cell(&self, phase: Phase) -> &Counter {
         match phase {
-            Phase::Sample => &self.sample_nanos,
-            Phase::Latency => &self.latency_nanos,
-            Phase::Accuracy => &self.accuracy_nanos,
-            Phase::Update => &self.update_nanos,
-        }
-    }
-
-    /// Freezes the current values into a plain snapshot.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        TelemetrySnapshot {
-            children_sampled: load(&self.children_sampled),
-            children_pruned: load(&self.children_pruned),
-            children_trained: load(&self.children_trained),
-            children_unbuildable: load(&self.children_unbuildable),
-            children_failed: load(&self.children_failed),
-            episodes: load(&self.episodes),
-            panics_caught: load(&self.panics_caught),
-            retries: load(&self.retries),
-            quarantined: load(&self.quarantined),
-            checkpoints_written: load(&self.checkpoints_written),
-            leases_expired: load(&self.leases_expired),
-            shards_redispatched: load(&self.shards_redispatched),
-            duplicate_results: load(&self.duplicate_results),
-            journal_records: load(&self.journal_records),
-            rounds_recovered: load(&self.rounds_recovered),
-            stale_submissions_rejected: load(&self.stale_submissions_rejected),
-            retries_served: load(&self.retries_served),
-            retry_sleep_ms: load(&self.retry_sleep_ms),
-            analyzer_calls: load(&self.analyzer_calls),
-            train_calls: load(&self.train_calls),
-            latency_cache_hits: load(&self.latency_cache_hits),
-            latency_cache_misses: load(&self.latency_cache_misses),
-            accuracy_cache_hits: load(&self.accuracy_cache_hits),
-            accuracy_cache_misses: load(&self.accuracy_cache_misses),
-            store_hits: load(&self.store_hits),
-            store_misses: load(&self.store_misses),
-            store_writes: load(&self.store_writes),
-            store_evictions: load(&self.store_evictions),
-            store_bytes: load(&self.store_bytes),
-            pass_design_ns: load(&self.pass_design_ns),
-            pass_graph_ns: load(&self.pass_graph_ns),
-            pass_partition_ns: load(&self.pass_partition_ns),
-            pass_schedule_ns: load(&self.pass_schedule_ns),
-            pass_sim_ns: load(&self.pass_sim_ns),
-            partitions_built: load(&self.partitions_built),
-            cross_partition_events: load(&self.cross_partition_events),
-            sample_time: Duration::from_nanos(load(&self.sample_nanos)),
-            latency_time: Duration::from_nanos(load(&self.latency_nanos)),
-            accuracy_time: Duration::from_nanos(load(&self.accuracy_nanos)),
-            update_time: Duration::from_nanos(load(&self.update_nanos)),
+            Phase::Sample => &self.sample_time,
+            Phase::Latency => &self.latency_time,
+            Phase::Accuracy => &self.accuracy_time,
+            Phase::Update => &self.update_time,
         }
     }
 }
@@ -402,191 +398,13 @@ pub struct PhaseTimer<'a> {
 
 impl Drop for PhaseTimer<'_> {
     fn drop(&mut self) {
-        let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.telemetry
             .phase_cell(self.phase)
-            .fetch_add(nanos, Ordering::Relaxed);
+            .add(self.start.elapsed().raw());
     }
-}
-
-/// A frozen view of [`SearchTelemetry`], safe to store in search outcomes
-/// and render into reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TelemetrySnapshot {
-    /// Children sampled from the controller.
-    pub children_sampled: u64,
-    /// Children pruned by the latency spec without training.
-    pub children_pruned: u64,
-    /// Children whose accuracy was evaluated (trained).
-    pub children_trained: u64,
-    /// Children that could not be built at all.
-    pub children_unbuildable: u64,
-    /// Children whose evaluation faulted (panic, exhausted retries,
-    /// quarantine) and were settled into failed trials.
-    pub children_failed: u64,
-    /// Completed episodes (batches).
-    pub episodes: u64,
-    /// Child-evaluation panics caught and isolated.
-    pub panics_caught: u64,
-    /// Transient-fault retries issued by the resilient oracle.
-    pub retries: u64,
-    /// Children quarantined for non-finite accuracies.
-    pub quarantined: u64,
-    /// Checkpoints written to disk during the run.
-    pub checkpoints_written: u64,
-    /// Shard leases that expired without a heartbeat (coordinator-side;
-    /// never persisted into checkpoints).
-    pub leases_expired: u64,
-    /// Shards handed out more than once — speculative straggler copies
-    /// plus expired-lease re-dispatches (coordinator-side).
-    pub shards_redispatched: u64,
-    /// Duplicate shard completions discarded first-wins after the
-    /// byte-compare assertion (coordinator-side).
-    pub duplicate_results: u64,
-    /// Records appended to the coordinator's crash-safe round journal
-    /// (coordinator-side; never persisted into checkpoints).
-    pub journal_records: u64,
-    /// Completed rounds resumed from the round journal on coordinator
-    /// restart instead of being re-run (coordinator-side).
-    pub rounds_recovered: u64,
-    /// Submissions rejected by epoch fencing because they were produced
-    /// under a previous coordinator incarnation (coordinator-side).
-    pub stale_submissions_rejected: u64,
-    /// `Retry` answers: served at the submit-admission cap
-    /// (coordinator-side) or received and honoured (worker-side). Never
-    /// persisted into checkpoints.
-    pub retries_served: u64,
-    /// Milliseconds of backoff attached to those retries, plus
-    /// worker-side connect-retry sleeps. Never persisted into
-    /// checkpoints.
-    pub retry_sleep_ms: u64,
-    /// Uncached FNAS-tool (analyzer) invocations.
-    pub analyzer_calls: u64,
-    /// Accuracy-oracle invocations.
-    pub train_calls: u64,
-    /// Latency-cache hits.
-    pub latency_cache_hits: u64,
-    /// Latency-cache misses.
-    pub latency_cache_misses: u64,
-    /// Accuracy-cache hits.
-    pub accuracy_cache_hits: u64,
-    /// Accuracy-cache misses.
-    pub accuracy_cache_misses: u64,
-    /// Persistent-store (L2) hits: oracle answers served from disk.
-    pub store_hits: u64,
-    /// Persistent-store lookups that found no usable record.
-    pub store_misses: u64,
-    /// Records written through to the persistent store.
-    pub store_writes: u64,
-    /// Records evicted from the persistent store by garbage collection.
-    pub store_evictions: u64,
-    /// Latest known persistent-store size in record bytes (a gauge;
-    /// merged as a maximum, not a sum).
-    pub store_bytes: u64,
-    /// Wall time (ns) in the `design` lowering pass (process-local;
-    /// never persisted into checkpoints).
-    pub pass_design_ns: u64,
-    /// Wall time (ns) in the `taskgraph` lowering pass (process-local).
-    pub pass_graph_ns: u64,
-    /// Wall time (ns) in the `partition` lowering pass (process-local).
-    pub pass_partition_ns: u64,
-    /// Wall time (ns) in the `schedule` lowering pass (process-local).
-    pub pass_schedule_ns: u64,
-    /// Wall time (ns) in the `sim` pass — cycle simulation, either
-    /// backend (process-local).
-    pub pass_sim_ns: u64,
-    /// Regions built by the `partition` pass for the parallel simulator
-    /// (process-local).
-    pub partitions_built: u64,
-    /// Cross-partition availability events settled by the partitioned
-    /// simulator (process-local).
-    pub cross_partition_events: u64,
-    /// Wall time in the (serial) sampling phase.
-    pub sample_time: Duration,
-    /// Wall time in the (parallel) latency phase.
-    pub latency_time: Duration,
-    /// Wall time in the (parallel) accuracy phase.
-    pub accuracy_time: Duration,
-    /// Wall time in the (serial) reward/update phase.
-    pub update_time: Duration,
 }
 
 impl TelemetrySnapshot {
-    /// The pure reduction behind every telemetry merge: element-wise
-    /// **saturating** addition of all counters and wall times. Saturating
-    /// adds are commutative and associative, so folding any number of
-    /// shard snapshots produces the same result in any association order
-    /// (the checkpoint merge still fixes shard order for the float state
-    /// it reduces alongside this).
-    #[must_use]
-    pub fn merge(&self, other: &TelemetrySnapshot) -> TelemetrySnapshot {
-        let dur = |a: Duration, b: Duration| a.checked_add(b).unwrap_or(Duration::MAX);
-        TelemetrySnapshot {
-            children_sampled: self.children_sampled.saturating_add(other.children_sampled),
-            children_pruned: self.children_pruned.saturating_add(other.children_pruned),
-            children_trained: self.children_trained.saturating_add(other.children_trained),
-            children_unbuildable: self
-                .children_unbuildable
-                .saturating_add(other.children_unbuildable),
-            children_failed: self.children_failed.saturating_add(other.children_failed),
-            episodes: self.episodes.saturating_add(other.episodes),
-            panics_caught: self.panics_caught.saturating_add(other.panics_caught),
-            retries: self.retries.saturating_add(other.retries),
-            quarantined: self.quarantined.saturating_add(other.quarantined),
-            checkpoints_written: self
-                .checkpoints_written
-                .saturating_add(other.checkpoints_written),
-            leases_expired: self.leases_expired.saturating_add(other.leases_expired),
-            shards_redispatched: self
-                .shards_redispatched
-                .saturating_add(other.shards_redispatched),
-            duplicate_results: self
-                .duplicate_results
-                .saturating_add(other.duplicate_results),
-            journal_records: self.journal_records.saturating_add(other.journal_records),
-            rounds_recovered: self.rounds_recovered.saturating_add(other.rounds_recovered),
-            stale_submissions_rejected: self
-                .stale_submissions_rejected
-                .saturating_add(other.stale_submissions_rejected),
-            retries_served: self.retries_served.saturating_add(other.retries_served),
-            retry_sleep_ms: self.retry_sleep_ms.saturating_add(other.retry_sleep_ms),
-            analyzer_calls: self.analyzer_calls.saturating_add(other.analyzer_calls),
-            train_calls: self.train_calls.saturating_add(other.train_calls),
-            latency_cache_hits: self
-                .latency_cache_hits
-                .saturating_add(other.latency_cache_hits),
-            latency_cache_misses: self
-                .latency_cache_misses
-                .saturating_add(other.latency_cache_misses),
-            accuracy_cache_hits: self
-                .accuracy_cache_hits
-                .saturating_add(other.accuracy_cache_hits),
-            accuracy_cache_misses: self
-                .accuracy_cache_misses
-                .saturating_add(other.accuracy_cache_misses),
-            store_hits: self.store_hits.saturating_add(other.store_hits),
-            store_misses: self.store_misses.saturating_add(other.store_misses),
-            store_writes: self.store_writes.saturating_add(other.store_writes),
-            store_evictions: self.store_evictions.saturating_add(other.store_evictions),
-            store_bytes: self.store_bytes.max(other.store_bytes),
-            pass_design_ns: self.pass_design_ns.saturating_add(other.pass_design_ns),
-            pass_graph_ns: self.pass_graph_ns.saturating_add(other.pass_graph_ns),
-            pass_partition_ns: self
-                .pass_partition_ns
-                .saturating_add(other.pass_partition_ns),
-            pass_schedule_ns: self.pass_schedule_ns.saturating_add(other.pass_schedule_ns),
-            pass_sim_ns: self.pass_sim_ns.saturating_add(other.pass_sim_ns),
-            partitions_built: self.partitions_built.saturating_add(other.partitions_built),
-            cross_partition_events: self
-                .cross_partition_events
-                .saturating_add(other.cross_partition_events),
-            sample_time: dur(self.sample_time, other.sample_time),
-            latency_time: dur(self.latency_time, other.latency_time),
-            accuracy_time: dur(self.accuracy_time, other.accuracy_time),
-            update_time: dur(self.update_time, other.update_time),
-        }
-    }
-
     /// Latency-cache hit rate over all lookups (`0.0` with no traffic).
     pub fn latency_cache_hit_rate(&self) -> f64 {
         ratio(self.latency_cache_hits, self.latency_cache_misses)
@@ -612,9 +430,11 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Total attributed wall time across all phases.
+    /// Total attributed wall time across all phases (saturating).
     pub fn total_time(&self) -> Duration {
-        self.sample_time + self.latency_time + self.accuracy_time + self.update_time
+        self.phases()
+            .into_iter()
+            .fold(Duration::ZERO, |total, (_, d)| total.saturating_add(d))
     }
 
     /// Per-phase `(name, duration)` pairs, in loop order.
@@ -639,12 +459,8 @@ impl TelemetrySnapshot {
     }
 }
 
-fn duration_nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
 fn ratio(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
+    let total = hits.saturating_add(misses);
     if total == 0 {
         0.0
     } else {
@@ -668,10 +484,12 @@ impl fmt::Display for TelemetrySnapshot {
             f,
             "latency cache {}/{} hits ({:.0}%) | accuracy cache {}/{} hits ({:.0}%)",
             self.latency_cache_hits,
-            self.latency_cache_hits + self.latency_cache_misses,
+            self.latency_cache_hits
+                .saturating_add(self.latency_cache_misses),
             self.latency_cache_hit_rate() * 100.0,
             self.accuracy_cache_hits,
-            self.accuracy_cache_hits + self.accuracy_cache_misses,
+            self.accuracy_cache_hits
+                .saturating_add(self.accuracy_cache_misses),
             self.accuracy_cache_hit_rate() * 100.0,
         )?;
         writeln!(
@@ -707,7 +525,7 @@ impl fmt::Display for TelemetrySnapshot {
             f,
             "store: {}/{} hits ({:.0}%) | writes {} | evictions {} | {} bytes on disk",
             self.store_hits,
-            self.store_hits + self.store_misses,
+            self.store_hits.saturating_add(self.store_misses),
             self.store_hit_rate() * 100.0,
             self.store_writes,
             self.store_evictions,
@@ -746,81 +564,53 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let t = SearchTelemetry::new();
-        t.add_sampled(10);
-        t.add_pruned();
-        t.add_pruned();
-        t.add_trained();
-        t.add_unbuildable();
-        t.add_episode();
-        t.add_analyzer_calls(5);
-        t.add_train_calls(3);
-        t.add_latency_cache(7, 3);
-        t.add_accuracy_cache(1, 1);
-        t.add_store_cache(9, 1, 4);
-        t.add_store_state(2, 4096);
-        t.add_store_state(0, 1024); // gauge: a smaller view never shrinks it
-        t.add_failed();
-        t.add_panic_caught();
-        t.add_retries(4);
-        t.add_quarantined(2);
-        t.add_checkpoint_written();
-        t.add_lease_expired();
-        t.add_shard_redispatched();
-        t.add_shard_redispatched();
-        t.add_duplicate_result();
-        t.add_journal_record();
-        t.add_journal_record();
-        t.add_journal_record();
-        t.add_rounds_recovered(2);
-        t.add_stale_submission_rejected();
-        t.add_retry_served(50);
-        t.add_retry_served(50);
-        t.add_retry_sleep_ms(100);
-        t.add_pass_nanos(10, 20, 30, 40, 50);
-        t.add_pass_nanos(1, 2, 3, 4, 5);
-        t.add_partition_stats(4, 128);
+        t.children_sampled.add(10);
+        t.children_pruned.add(2);
+        t.store_bytes.max(4096);
+        t.store_bytes.max(1024); // gauge: a smaller view never shrinks it
+        t.pass_design_ns.add(10);
+        t.pass_design_ns.add(1);
         let s = t.snapshot();
         assert_eq!(s.children_sampled, 10);
         assert_eq!(s.children_pruned, 2);
-        assert_eq!(s.children_trained, 1);
-        assert_eq!(s.children_unbuildable, 1);
-        assert_eq!(s.children_failed, 1);
-        assert_eq!(s.episodes, 1);
-        assert_eq!(s.panics_caught, 1);
-        assert_eq!(s.retries, 4);
-        assert_eq!(s.quarantined, 2);
-        assert_eq!(s.checkpoints_written, 1);
-        assert_eq!(s.leases_expired, 1);
-        assert_eq!(s.shards_redispatched, 2);
-        assert_eq!(s.duplicate_results, 1);
-        assert_eq!(s.journal_records, 3);
-        assert_eq!(s.rounds_recovered, 2);
-        assert_eq!(s.stale_submissions_rejected, 1);
-        assert_eq!(s.retries_served, 2);
-        assert_eq!(s.retry_sleep_ms, 200);
-        assert_eq!(s.analyzer_calls, 5);
-        assert_eq!(s.train_calls, 3);
         assert_eq!(s.prune_rate(), 0.2);
-        assert_eq!(s.latency_cache_hit_rate(), 0.7);
-        assert_eq!(s.accuracy_cache_hit_rate(), 0.5);
-        assert_eq!(s.store_hits, 9);
-        assert_eq!(s.store_misses, 1);
-        assert_eq!(s.store_writes, 4);
-        assert_eq!(s.store_evictions, 2);
         assert_eq!(s.store_bytes, 4096);
-        assert_eq!(s.store_hit_rate(), 0.9);
+        assert_eq!(s.pass_ns()[0], ("design", 11));
+    }
+
+    #[test]
+    fn checkpointed_rows_follow_table_order() {
+        let mut n = 0;
+        let s = TelemetrySnapshot::from_checkpointed(|| {
+            n += 1;
+            Ok::<_, ()>(n)
+        })
+        .unwrap();
         assert_eq!(
-            s.pass_ns(),
-            [
-                ("design", 11),
-                ("taskgraph", 22),
-                ("partition", 33),
-                ("schedule", 44),
-                ("sim", 55),
-            ]
+            (s.children_sampled, s.checkpoints_written, s.train_calls),
+            (1, 10, 11)
         );
-        assert_eq!(s.partitions_built, 4);
-        assert_eq!(s.cross_partition_events, 128);
+        let rows = s.rows();
+        let checkpointed: Vec<u64> = rows
+            .iter()
+            .filter(|r| r.persistence == Persistence::Checkpointed)
+            .map(|r| r.value)
+            .collect();
+        assert_eq!(checkpointed, (1..=11).collect::<Vec<_>>());
+        assert_eq!(s.persisted(), s);
+        assert_eq!(
+            (rows[0].name, rows[0].label),
+            ("children_sampled", "children sampled")
+        );
+        assert_eq!(rows[ROWS - 1].name, "update_time");
+        // The live cells carry every row through merge and snapshot.
+        let t = SearchTelemetry::new();
+        t.merge_snapshot(&s);
+        assert_eq!(t.snapshot(), s);
+        assert_eq!(
+            TelemetrySnapshot::from_checkpointed(|| Err("short")),
+            Err("short")
+        );
     }
 
     #[test]
@@ -846,7 +636,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        t.add_sampled(1);
+                        t.children_sampled.add(1);
                     }
                 });
             }
@@ -866,8 +656,8 @@ mod tests {
     #[test]
     fn display_renders_all_sections() {
         let t = SearchTelemetry::new();
-        t.add_sampled(4);
-        t.add_pruned();
+        t.children_sampled.add(4);
+        t.children_pruned.add(1);
         let text = t.snapshot().to_string();
         assert!(text.contains("sampled 4"));
         assert!(text.contains("pruned 1"));
@@ -892,6 +682,9 @@ mod tests {
             retries: u64::MAX,
             episodes: 3,
             leases_expired: u64::MAX,
+            latency_cache_hits: u64::MAX,
+            accuracy_cache_misses: u64::MAX,
+            store_hits: u64::MAX,
             sample_time: Duration::MAX,
             ..TelemetrySnapshot::default()
         };
@@ -900,7 +693,11 @@ mod tests {
             retries: 1,
             episodes: 2,
             leases_expired: 9,
+            latency_cache_misses: 1,
+            accuracy_cache_hits: 1,
+            store_misses: u64::MAX,
             sample_time: Duration::from_secs(1),
+            update_time: Duration::from_secs(1),
             ..TelemetrySnapshot::default()
         };
         let m = a.merge(&b);
@@ -909,6 +706,14 @@ mod tests {
         assert_eq!(m.episodes, 5);
         assert_eq!(m.leases_expired, u64::MAX);
         assert_eq!(m.sample_time, Duration::MAX);
+        // The saturated value stays readable: no reader overflows.
+        assert_eq!(m.total_time(), Duration::MAX);
+        assert_eq!(m.latency_cache_hit_rate(), 1.0);
+        assert!(m.accuracy_cache_hit_rate() < 1e-9);
+        assert_eq!(m.store_hit_rate(), 1.0);
+        let text = m.to_string();
+        assert!(text.contains(&format!("latency cache {0}/{0} hits", u64::MAX)));
+        assert!(text.contains(&format!("store: {0}/{0} hits", u64::MAX)));
     }
 
     #[test]
@@ -939,6 +744,7 @@ mod tests {
         let (a, b, c) = (mk(1), mk(2), mk(3));
         assert_eq!(a.merge(&b), b.merge(&a));
         assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)));
+        assert_eq!(a.merge(&b).store_bytes, 2000);
         // Zero is the identity.
         assert_eq!(a.merge(&TelemetrySnapshot::default()), a);
     }
@@ -946,11 +752,13 @@ mod tests {
     #[test]
     fn live_merge_snapshot_matches_the_pure_reduction() {
         let t = SearchTelemetry::new();
-        t.add_sampled(u64::MAX - 2);
+        t.children_sampled.add(u64::MAX - 2);
+        t.store_bytes.max(50);
         let delta = TelemetrySnapshot {
             children_sampled: 5,
             children_failed: 1,
             episodes: 1,
+            store_bytes: 20,
             latency_time: Duration::from_millis(7),
             ..TelemetrySnapshot::default()
         };
@@ -958,52 +766,37 @@ mod tests {
         t.merge_snapshot(&delta);
         assert_eq!(t.snapshot(), expected);
         assert_eq!(t.snapshot().children_sampled, u64::MAX);
+        assert_eq!(t.snapshot().store_bytes, 50);
     }
 
     #[test]
     fn restore_counters_preloads_logical_state_only() {
         let t = SearchTelemetry::new();
-        t.add_latency_cache(5, 5);
-        t.add_store_cache(3, 1, 2);
-        let snap = TelemetrySnapshot {
+        t.latency_cache_hits.add(5);
+        t.latency_cache_misses.add(5);
+        let mut snap = TelemetrySnapshot {
             children_sampled: 40,
-            children_pruned: 10,
-            children_trained: 25,
-            children_unbuildable: 3,
-            children_failed: 2,
             episodes: 5,
-            train_calls: 27,
-            panics_caught: 1,
-            retries: 6,
-            quarantined: 1,
             checkpoints_written: 2,
             latency_cache_hits: 99,
             store_hits: 77,
             pass_sim_ns: 55,
-            partitions_built: 9,
-            cross_partition_events: 31,
             ..TelemetrySnapshot::default()
         };
         t.restore_counters(&snap);
-        t.add_sampled(8);
-        t.add_episode();
+        t.children_sampled.add(8);
+        t.episodes.add(1);
         let s = t.snapshot();
         assert_eq!(s.children_sampled, 48);
         assert_eq!(s.episodes, 6);
-        assert_eq!(s.children_failed, 2);
-        assert_eq!(s.panics_caught, 1);
-        assert_eq!(s.retries, 6);
-        assert_eq!(s.quarantined, 1);
         assert_eq!(s.checkpoints_written, 2);
-        // Cache traffic is not replayed: it reflects this process only.
-        assert_eq!(s.latency_cache_hits, 5);
-        assert_eq!(s.latency_cache_misses, 5);
-        // Store traffic is process-local too.
-        assert_eq!((s.store_hits, s.store_misses, s.store_writes), (3, 1, 2));
-        // Pass timings and partition stats are process-local too: they
-        // describe lowering work actually performed here, not replayed.
-        assert_eq!(s.pass_sim_ns, 0);
-        assert_eq!(s.partitions_built, 0);
-        assert_eq!(s.cross_partition_events, 0);
+        // Process-local rows are not replayed: they reflect this process.
+        assert_eq!((s.latency_cache_hits, s.latency_cache_misses), (5, 5));
+        assert_eq!((s.store_hits, s.pass_sim_ns), (0, 0));
+        // Restore is exactly the checkpointed projection.
+        snap.latency_cache_hits = 0;
+        let fresh = SearchTelemetry::new();
+        fresh.restore_counters(&snap);
+        assert_eq!(fresh.snapshot(), snap.persisted());
     }
 }

@@ -8,9 +8,13 @@
 //! instance per format, so any drift in the wire or disk layout fails
 //! here first.
 
+use std::time::Duration;
+
+use fnas::checkpoint::SearchCheckpoint;
 use fnas::experiment::ExperimentPreset;
 use fnas::persist::encode_report;
-use fnas::search::SearchConfig;
+use fnas::search::{SearchConfig, TelemetrySnapshot};
+use fnas_controller::reinforce::TrainerState;
 use fnas_coord::framing::write_frame;
 use fnas_coord::journal::{encode_record, encode_spill, WalRecord};
 use fnas_coord::proto::{config_fingerprint, Request, Response};
@@ -107,6 +111,86 @@ fn progress_snapshot_is_pinned() {
     assert_eq!(
         hex(&progress.encode()),
         "464e50523100eeffc0efbeadde010000000000000002000000000000000100000000000000180000000000000004000000000000000500000000000000060000000000000007000000000000009600000000000000030000000000a03f01060000003578353a3138"
+    );
+}
+
+/// An `FNASCKPT` snapshot whose every telemetry field is distinct and
+/// non-zero: the eleven checkpointed counters (1–10 and 20) must appear in
+/// their format order, and none of the process-local ones (11–19, 21–40)
+/// may reach the bytes. Round trips cannot catch a symmetric reorder of
+/// counters that happen to share a value; this pin can.
+#[test]
+fn checkpoint_telemetry_section_is_pinned() {
+    let ckpt = SearchCheckpoint {
+        shard_index: 0,
+        shard_count: 1,
+        parent_seed: 7,
+        round: 0,
+        job: Default::default(),
+        run_seed: 7,
+        next_episode: 3,
+        rng_state: [1, 2, 3, 4],
+        baseline: None,
+        cost: Default::default(),
+        trainer: TrainerState {
+            params: vec![],
+            optimizer: Default::default(),
+            updates: 0,
+        },
+        telemetry: TelemetrySnapshot {
+            children_sampled: 1,
+            children_pruned: 2,
+            children_trained: 3,
+            children_unbuildable: 4,
+            children_failed: 5,
+            episodes: 6,
+            panics_caught: 7,
+            retries: 8,
+            quarantined: 9,
+            checkpoints_written: 10,
+            leases_expired: 11,
+            shards_redispatched: 12,
+            duplicate_results: 13,
+            journal_records: 14,
+            rounds_recovered: 15,
+            stale_submissions_rejected: 16,
+            retries_served: 17,
+            retry_sleep_ms: 18,
+            analyzer_calls: 19,
+            train_calls: 20,
+            latency_cache_hits: 21,
+            latency_cache_misses: 22,
+            accuracy_cache_hits: 23,
+            accuracy_cache_misses: 24,
+            store_hits: 25,
+            store_misses: 26,
+            store_writes: 27,
+            store_evictions: 28,
+            store_bytes: 29,
+            pass_design_ns: 30,
+            pass_graph_ns: 31,
+            pass_partition_ns: 32,
+            pass_schedule_ns: 33,
+            pass_sim_ns: 34,
+            partitions_built: 35,
+            cross_partition_events: 36,
+            sample_time: Duration::from_nanos(37),
+            latency_time: Duration::from_nanos(38),
+            accuracy_time: Duration::from_nanos(39),
+            update_time: Duration::from_nanos(40),
+        },
+        trials: vec![],
+    };
+    assert_eq!(
+        hex(&ckpt.to_bytes()),
+        concat!(
+            "464e4153434b5054040000000000000001000000070000000000000000000000000000001a0000000000000001000000050000006d6e6973740001000000000000244000000007000000000000000300000000000000010000000000000002000000000000000300000000000000040000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            // Telemetry: counters 1-10, then 20 (train calls).
+            "0100000000000000020000000000000003000000000000000400000000000000",
+            "0500000000000000060000000000000007000000000000000800000000000000",
+            "09000000000000000a000000000000001400000000000000",
+            "0000000000000000",
+        )
     );
 }
 
