@@ -28,12 +28,11 @@
 //! submissions carrying a dead incarnation's epoch are fenced off with
 //! [`Response::Stale`] instead of racing the recovered round.
 
-use std::io::{ErrorKind, Read};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fnas::checkpoint::SearchCheckpoint;
 use fnas::search::SearchConfig;
@@ -41,7 +40,7 @@ use fnas::{FnasError, Result};
 use fnas_exec::SearchTelemetry;
 
 use crate::clock::Clock;
-use crate::framing::{read_frame, write_frame};
+use crate::framing::{self, Endpoint};
 use crate::journal::{self, Journal, WalRecord};
 use crate::lease::{LeasePolicy, LeaseTable};
 use crate::proto::{config_fingerprint, Request, Response};
@@ -675,26 +674,10 @@ impl Coordinator {
     /// Listener I/O errors. Per-connection errors (a peer that hangs up
     /// mid-frame, a malformed request) are contained to that connection.
     pub fn serve(self: &Arc<Self>, listener: TcpListener) -> Result<SearchCheckpoint> {
-        listener.set_nonblocking(true)?;
-        let mut finished_at: Option<Instant> = None;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let me = Arc::clone(self);
-                    std::thread::spawn(move || me.handle_connection(stream));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e.into()),
-            }
-            if let Some(ckpt) = self.finished_checkpoint() {
-                let at = *finished_at.get_or_insert_with(Instant::now);
-                if at.elapsed() >= Duration::from_millis(self.opts.linger_ms) {
-                    return Ok(ckpt);
-                }
-            }
-        }
+        framing::serve(self, listener, Duration::from_millis(self.opts.linger_ms))?;
+        Ok(self
+            .finished_checkpoint()
+            .expect("the shell returns only once the run has finished"))
     }
 
     /// The admission cap on concurrently held submit payloads.
@@ -705,7 +688,7 @@ impl Coordinator {
     /// Claims one slot of the submit-payload budget, or `None` when the
     /// cap is reached — the caller should answer [`Response::Retry`] and
     /// drop the payload. The slot is released when the guard drops.
-    /// Public so network shells (and the admission-saturation tests) can
+    /// Public so `fnas-serve` (and the admission-saturation tests) can
     /// drive the cap directly.
     pub fn try_admit_submit(&self) -> Option<SubmitSlot<'_>> {
         let prev = self.in_flight_submits.fetch_add(1, Ordering::SeqCst);
@@ -718,8 +701,8 @@ impl Coordinator {
     }
 
     /// [`Coordinator::handle`] with the submit-admission cap applied —
-    /// the entry point every network shell (this crate's serve loop and
-    /// `fnas-serve`) uses. A deferred submission is answered with
+    /// how both this crate's [`Endpoint`] and `fnas-serve` answer
+    /// coordinator verbs. A deferred submission is answered with
     /// [`Response::Retry`] and counted in telemetry (`retries served`).
     pub fn handle_with_admission(&self, request: &Request) -> Response {
         if matches!(request, Request::Submit { .. }) {
@@ -736,25 +719,21 @@ impl Coordinator {
             self.handle(request)
         }
     }
+}
 
-    fn handle_connection(&self, mut stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-        let response = match read_frame(&mut stream).and_then(|b| Request::from_bytes(&b)) {
-            Ok(request) => self.handle_with_admission(&request),
-            Err(e) => Response::Error {
-                what: e.to_string(),
-            },
-        };
-        let _ = write_frame(&mut stream, &response.to_bytes());
-        // Wait for the peer's close before ours so the TIME_WAIT state
-        // lands on the client's ephemeral port, not on our listen port.
-        // Otherwise every answered request parks a server-side TIME_WAIT
-        // entry that blocks a restarted coordinator from rebinding the
-        // same address for up to a minute — exactly the window a
-        // journaled restart (DESIGN.md §15) needs to reopen. Bounded by
-        // the read timeout above if the peer lingers.
-        let _ = stream.read(&mut [0u8; 1]);
+/// The coordinator as an `FNC1` endpoint: admission-capped answers, done
+/// once the final checkpoint exists.
+impl Endpoint for Coordinator {
+    fn answer(&self, request: &Request) -> Response {
+        self.handle_with_admission(request)
+    }
+
+    fn finished(&self) -> bool {
+        self.state
+            .lock()
+            .expect("coordinator lock")
+            .finished
+            .is_some()
     }
 }
 

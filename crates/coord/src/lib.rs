@@ -12,13 +12,18 @@
 //!   each round at a synchronous barrier and re-inits the next from the
 //!   merged controller.
 //! * [`worker`] — the loop a machine runs: poll, run the leased shard
-//!   via the shared [`rounds`] code path, heartbeat meanwhile, submit.
+//!   via the shared [`rounds`] code path, heartbeat meanwhile, submit;
+//!   pinned and fleet workers share that one poll loop.
 //! * [`rounds`] — the round math itself, shared by the coordinator, the
 //!   workers *and* the in-process reference driver
 //!   ([`rounds::run_rounds_local`]), making "coordinated equals
 //!   sequential" a byte identity.
 //! * [`proto`] / [`framing`] — a stateless request–response protocol in
 //!   length-prefixed frames over `TcpStream`; std only, no async.
+//!   [`framing`] is also the one network shell (DESIGN.md §22): the
+//!   accept loop [`framing::serve`] behind which both this crate's
+//!   coordinator and `fnas-serve` sit as [`framing::Endpoint`]s, and
+//!   the one client exchange [`framing::call`].
 //! * [`lease`] — the TTL / straggler / first-wins bookkeeping.
 //! * [`journal`] — the crash-safe write-ahead round journal: every
 //!   committed transition WAL-logged, settled shard bytes spilled to

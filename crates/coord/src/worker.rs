@@ -3,9 +3,9 @@
 //! A worker is a thin shell around [`crate::rounds::run_round_shard`] —
 //! the same function the in-process reference driver uses, which is what
 //! guarantees its submissions are byte-identical to any other replica's.
-//! All its networking is the stateless request–response of
-//! [`crate::proto`]: one connection per request, so a worker crash
-//! leaves nothing behind but a lease that will quietly expire.
+//! All its networking is [`crate::framing::call`]: one connection per
+//! request, so a worker crash leaves nothing behind but a lease that
+//! will quietly expire.
 //!
 //! While a shard runs, a background thread heartbeats the lease at a
 //! configurable cadence. A heartbeat answered with `still_yours: false`
@@ -13,7 +13,9 @@
 //! worker: its result is exactly as valid as any replica's, and the
 //! coordinator settles whichever arrives first.
 //!
-//! Workers come in two shapes sharing one execution path:
+//! Workers come in two shapes sharing one poll loop and one execution
+//! path; they differ only in the poll verb and in how an `Assign`
+//! resolves to a config:
 //!
 //! * [`run_worker`] is **pinned**: launched with job flags, it proves
 //!   job/fingerprint agreement on its first `Poll` and serves that one
@@ -24,7 +26,7 @@
 //!   fingerprint itself — so one fleet serves many jobs, and the
 //!   `WrongJob`/`Stale` fences still police every submission.
 
-use std::net::TcpStream;
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,7 +37,7 @@ use fnas::job::JobSpec;
 use fnas::search::{BatchOptions, SearchConfig, ShardSpec};
 use fnas::{FnasError, Result};
 
-use crate::framing::{read_frame, write_frame};
+use crate::framing::call;
 use crate::proto::{config_fingerprint, Request, Response};
 use crate::rounds::{run_round_shard_stored, shard_file};
 
@@ -137,15 +139,6 @@ impl RetryMeter {
     }
 }
 
-/// One request–response exchange on a fresh connection, attempted once.
-fn exchange(opts: &WorkerOptions, req: &Request) -> Result<Response> {
-    let mut stream = TcpStream::connect(&opts.addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    write_frame(&mut stream, &req.to_bytes())?;
-    Response::from_bytes(&read_frame(&mut stream)?)
-}
-
 /// One request–response exchange, retried under the worker's budget.
 ///
 /// The *whole* exchange retries, not just the connect: a coordinator
@@ -165,7 +158,7 @@ fn request(opts: &WorkerOptions, meter: &RetryMeter, req: &Request) -> Result<Re
             meter.note_sleep(backoff);
             backoff = backoff.saturating_mul(2).min(MAX_RETRY_BACKOFF_MS);
         }
-        match exchange(opts, req) {
+        match call(&opts.addr, req) {
             Ok(response) => return Ok(response),
             Err(e @ FnasError::Io(_)) => last = Some(e),
             Err(e) => return Err(e),
@@ -288,16 +281,7 @@ fn run_assignment(
             // Not our search: the coordinator serves a
             // different job. Exit rather than retry — no
             // amount of backoff makes the jobs agree.
-            Response::WrongJob { job: theirs } => {
-                return Err(FnasError::InvalidConfig {
-                    what: format!(
-                        "coordinator serves job {theirs:#018x}, this worker was \
-                         started for job {:#018x}; check the job flags \
-                         (--preset/--device/--budget-ms/--trials/--seed)",
-                        a.job
-                    ),
-                })
-            }
+            Response::WrongJob { job: theirs } => return Err(wrong_job(theirs, a.job)),
             other => {
                 return Err(FnasError::InvalidConfig {
                     what: format!("unexpected submit response {other:?}"),
@@ -305,6 +289,118 @@ fn run_assignment(
             }
         }
     }
+}
+
+/// A worker-side refusal: the run cannot go on with this endpoint.
+fn invalid(what: String) -> FnasError {
+    FnasError::InvalidConfig { what }
+}
+
+/// Why a worker stops when the endpoint serves another job: no amount
+/// of backoff makes the jobs agree.
+fn wrong_job(theirs: u64, ours: u64) -> FnasError {
+    invalid(format!(
+        "coordinator serves job {theirs:#018x}, this worker was started for job {ours:#018x}; \
+         check the job flags (--preset/--device/--budget-ms/--trials/--seed)"
+    ))
+}
+
+/// How a worker shape runs one `Assign`: its config and batch options,
+/// the job and fingerprint it echoes, and where its shard files go.
+struct Resolved<'c> {
+    base: Cow<'c, SearchConfig>,
+    opts: BatchOptions,
+    job: u64,
+    fingerprint: u64,
+    scratch: PathBuf,
+}
+
+/// The loop both worker shapes run: send `poll` until the endpoint
+/// answers `Finished`, resolving every `Assign` through `resolve` and
+/// running it with [`run_assignment`].
+///
+/// A pinned worker's [`Request::Poll`] names its own job, so a
+/// `WrongJob` answer is explained against it and a rejection is the
+/// coordinator's; a fleet worker's [`Request::PollAny`] names none.
+fn poll_loop<'c>(
+    worker: &WorkerOptions,
+    poll: &Request,
+    resolve: impl Fn(&Response) -> Result<Resolved<'c>>,
+) -> Result<WorkerReport> {
+    std::fs::create_dir_all(&worker.dir)?;
+    // One store handle per worker process, shared across every shard and
+    // round this worker runs.
+    let store: Option<Arc<dyn fnas_store::Store>> = match &worker.store_dir {
+        Some(dir) => Some(Arc::new(fnas_store::DiskStore::open(dir)?)),
+        None => None,
+    };
+    let (peer, own_job) = match poll {
+        Request::Poll { job, .. } => ("coordinator", Some(*job)),
+        _ => ("endpoint", None),
+    };
+    let meter = Arc::new(RetryMeter::default());
+    let mut report = WorkerReport::default();
+    loop {
+        meter.fold_into(&mut report);
+        let response = match request(worker, &meter, poll) {
+            Ok(r) => r,
+            // The endpoint finished and left while we were backing off;
+            // having contributed, we treat that as the end of the run.
+            Err(_) if report.shards_run > 0 => {
+                report.coordinator_lost = true;
+                break;
+            }
+            Err(e) => return Err(e),
+        };
+        match (&response, own_job) {
+            (Response::Finished, _) => break,
+            (Response::Wait { backoff_ms }, _) => {
+                std::thread::sleep(Duration::from_millis((*backoff_ms).clamp(10, 1_000)));
+            }
+            (
+                Response::Assign {
+                    round,
+                    shard,
+                    shard_count,
+                    epoch,
+                    init,
+                    ..
+                },
+                _,
+            ) => {
+                let lease = resolve(&response)?;
+                let a = Assignment {
+                    round: *round,
+                    shard: *shard,
+                    shard_count: *shard_count,
+                    epoch: *epoch,
+                    job: lease.job,
+                    fingerprint: lease.fingerprint,
+                    init: SearchCheckpoint::from_bytes(init)?,
+                };
+                std::fs::create_dir_all(&lease.scratch)?;
+                run_assignment(
+                    &lease.base,
+                    &lease.opts,
+                    worker,
+                    &store,
+                    &meter,
+                    &lease.scratch,
+                    a,
+                    &mut report,
+                )?;
+            }
+            (Response::Error { what }, _) => {
+                return Err(invalid(format!("{peer} rejected poll: {what}")))
+            }
+            (Response::WrongJob { job: theirs }, Some(ours)) => {
+                return Err(wrong_job(*theirs, ours))
+            }
+            (other, _) => return Err(invalid(format!("unexpected poll response {other:?}"))),
+        }
+    }
+    meter.fold_into(&mut report);
+    Ok(report)
 }
 
 /// Runs the worker loop against a coordinator until the run finishes.
@@ -327,102 +423,25 @@ pub fn run_worker(
     shards: u32,
     rounds: u64,
 ) -> Result<WorkerReport> {
-    std::fs::create_dir_all(&worker.dir)?;
     let job = base.job().job_digest();
     let fingerprint = config_fingerprint(base, opts.batch_size(), shards, rounds);
-    // One store handle per worker process, shared across every shard and
-    // round this worker runs.
-    let store: Option<Arc<dyn fnas_store::Store>> = match &worker.store_dir {
-        Some(dir) => Some(Arc::new(fnas_store::DiskStore::open(dir)?)),
-        None => None,
+    let poll = Request::Poll {
+        worker: worker.name.clone(),
+        job,
+        fingerprint,
     };
-    let meter = Arc::new(RetryMeter::default());
-    let mut report = WorkerReport::default();
-    loop {
-        meter.fold_into(&mut report);
-        let poll = Request::Poll {
-            worker: worker.name.clone(),
+    poll_loop(worker, &poll, |assign| match assign {
+        Response::Assign { shard_count, .. } if *shard_count != shards => Err(invalid(format!(
+            "coordinator dispatches {shard_count} shards, worker was started with --shards {shards}"
+        ))),
+        _ => Ok(Resolved {
+            base: Cow::Borrowed(base),
+            opts: *opts,
             job,
             fingerprint,
-        };
-        let response = match request(worker, &meter, &poll) {
-            Ok(r) => r,
-            Err(e) if report.shards_run > 0 => {
-                // The coordinator merged its last round and left while we
-                // were backing off; the run is over.
-                let _ = e;
-                report.coordinator_lost = true;
-                meter.fold_into(&mut report);
-                return Ok(report);
-            }
-            Err(e) => return Err(e),
-        };
-        match response {
-            Response::Finished => {
-                meter.fold_into(&mut report);
-                return Ok(report);
-            }
-            Response::Wait { backoff_ms } => {
-                std::thread::sleep(Duration::from_millis(backoff_ms.clamp(10, 1_000)));
-            }
-            Response::Assign {
-                round,
-                shard,
-                shard_count,
-                epoch,
-                init,
-                ..
-            } => {
-                if shard_count != shards {
-                    return Err(FnasError::InvalidConfig {
-                        what: format!(
-                            "coordinator dispatches {shard_count} shards, worker was started \
-                             with --shards {shards}"
-                        ),
-                    });
-                }
-                let init = SearchCheckpoint::from_bytes(&init)?;
-                let scratch = worker.dir.clone();
-                run_assignment(
-                    base,
-                    opts,
-                    worker,
-                    &store,
-                    &meter,
-                    &scratch,
-                    Assignment {
-                        round,
-                        shard,
-                        shard_count,
-                        epoch,
-                        job,
-                        fingerprint,
-                        init,
-                    },
-                    &mut report,
-                )?;
-            }
-            Response::Error { what } => {
-                return Err(FnasError::InvalidConfig {
-                    what: format!("coordinator rejected poll: {what}"),
-                })
-            }
-            Response::WrongJob { job: theirs } => {
-                return Err(FnasError::InvalidConfig {
-                    what: format!(
-                        "coordinator serves job {theirs:#018x}, this worker was started \
-                         for job {job:#018x}; check the job flags \
-                         (--preset/--device/--budget-ms/--trials/--seed)"
-                    ),
-                })
-            }
-            other => {
-                return Err(FnasError::InvalidConfig {
-                    what: format!("unexpected poll response {other:?}"),
-                })
-            }
-        }
-    }
+            scratch: worker.dir.clone(),
+        }),
+    })
 }
 
 /// Runs the job-agnostic fleet loop until the endpoint answers
@@ -445,101 +464,46 @@ pub fn run_worker(
 /// Undecodable or mismatched spec bytes, protocol errors, and
 /// connection failures before any contribution — as [`run_worker`].
 pub fn run_fleet_worker(opts: &BatchOptions, worker: &WorkerOptions) -> Result<WorkerReport> {
-    std::fs::create_dir_all(&worker.dir)?;
-    let store: Option<Arc<dyn fnas_store::Store>> = match &worker.store_dir {
-        Some(dir) => Some(Arc::new(fnas_store::DiskStore::open(dir)?)),
-        None => None,
+    let poll = Request::PollAny {
+        worker: worker.name.clone(),
     };
-    let meter = Arc::new(RetryMeter::default());
-    let mut report = WorkerReport::default();
-    loop {
-        meter.fold_into(&mut report);
-        let poll = Request::PollAny {
-            worker: worker.name.clone(),
+    poll_loop(worker, &poll, |assign| {
+        let Response::Assign {
+            round,
+            shard,
+            shard_count,
+            job,
+            ref spec,
+            batch,
+            rounds,
+            ..
+        } = *assign
+        else {
+            unreachable!("the poll loop resolves assignments only")
         };
-        let response = match request(worker, &meter, &poll) {
-            Ok(r) => r,
-            Err(e) if report.shards_run > 0 => {
-                let _ = e;
-                report.coordinator_lost = true;
-                meter.fold_into(&mut report);
-                return Ok(report);
-            }
-            Err(e) => return Err(e),
-        };
-        match response {
-            Response::Finished => {
-                meter.fold_into(&mut report);
-                return Ok(report);
-            }
-            Response::Wait { backoff_ms } => {
-                std::thread::sleep(Duration::from_millis(backoff_ms.clamp(10, 1_000)));
-            }
-            Response::Assign {
-                round,
-                shard,
-                shard_count,
-                epoch,
-                job,
-                spec,
-                batch,
-                rounds,
-                init,
-                ..
-            } => {
-                let spec = JobSpec::decode(&spec).ok_or_else(|| FnasError::InvalidConfig {
-                    what: format!(
-                        "assignment for job {job:#018x} carries undecodable spec bytes \
-                         (round {round} shard {shard})"
-                    ),
-                })?;
-                // The digest is derived from the spec bytes, never
-                // trusted from the header: a server bug that pairs the
-                // wrong spec with a job digest dies here, not at merge.
-                let derived = spec.job_digest();
-                if derived != job {
-                    return Err(FnasError::InvalidConfig {
-                        what: format!(
-                            "assignment names job {job:#018x} but its spec bytes decode \
-                             to job {derived:#018x}"
-                        ),
-                    });
-                }
-                let base = spec.resolve()?;
-                let fingerprint = config_fingerprint(&base, batch as usize, shard_count, rounds);
-                let run_opts = (*opts).with_batch_size(batch as usize);
-                let init = SearchCheckpoint::from_bytes(&init)?;
-                let scratch = worker.dir.join(format!("{job:016x}"));
-                std::fs::create_dir_all(&scratch)?;
-                run_assignment(
-                    &base,
-                    &run_opts,
-                    worker,
-                    &store,
-                    &meter,
-                    &scratch,
-                    Assignment {
-                        round,
-                        shard,
-                        shard_count,
-                        epoch,
-                        job,
-                        fingerprint,
-                        init,
-                    },
-                    &mut report,
-                )?;
-            }
-            Response::Error { what } => {
-                return Err(FnasError::InvalidConfig {
-                    what: format!("endpoint rejected poll: {what}"),
-                })
-            }
-            other => {
-                return Err(FnasError::InvalidConfig {
-                    what: format!("unexpected poll response {other:?}"),
-                })
-            }
+        let spec = JobSpec::decode(spec).ok_or_else(|| {
+            invalid(format!(
+                "assignment for job {job:#018x} carries undecodable spec bytes \
+                 (round {round} shard {shard})"
+            ))
+        })?;
+        // The digest is derived from the spec bytes, never trusted from
+        // the header: a server bug that pairs the wrong spec with a job
+        // digest dies here, not at merge.
+        let derived = spec.job_digest();
+        if derived != job {
+            return Err(invalid(format!(
+                "assignment names job {job:#018x} but its spec bytes decode \
+                 to job {derived:#018x}"
+            )));
         }
-    }
+        let base = spec.resolve()?;
+        Ok(Resolved {
+            fingerprint: config_fingerprint(&base, batch as usize, shard_count, rounds),
+            base: Cow::Owned(base),
+            opts: (*opts).with_batch_size(batch as usize),
+            job,
+            scratch: worker.dir.join(format!("{job:016x}")),
+        })
+    })
 }

@@ -27,12 +27,9 @@ use std::time::Duration;
 
 use fnas::job::cli::{Args, JOB_USAGE};
 use fnas::job::JobSpec;
-use fnas_coord::{
-    Clock, LeasePolicy, Response, WallClock, JOB_STATE_CANCELLED, JOB_STATE_FINISHED,
-    JOB_STATE_RUNNING,
-};
+use fnas_coord::{Clock, LeasePolicy, Response, WallClock, JOB_STATE_RUNNING};
 use fnas_serve::{
-    cancel_job, job_status, submit_job, watch_progress, JobProgress, ServeOptions, Server,
+    cancel_job, job_status, submit_job, watch_progress, JobProgress, JobState, ServeOptions, Server,
 };
 
 const USAGE: &str = "usage: fnas-serve <serve|submit|status|watch|cancel|jobs> [options]
@@ -131,12 +128,7 @@ impl Cli {
 }
 
 fn state_label(state: u8) -> &'static str {
-    match state {
-        s if s == JOB_STATE_RUNNING => "running",
-        s if s == JOB_STATE_FINISHED => "finished",
-        s if s == JOB_STATE_CANCELLED => "cancelled",
-        _ => "unknown",
-    }
+    JobState::from_wire(state).map_or("unknown", JobState::label)
 }
 
 /// Renders a `JobInfo` answer: state line plus the decoded progress.

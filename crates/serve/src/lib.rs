@@ -14,9 +14,13 @@
 //! * [`progress`] — the per-job progress snapshot (`FNPR1` bytes)
 //!   published to the store as an artifact after every settlement, so
 //!   `JobStatus` answers from bytes, not live state.
-//! * [`client`] — one-connection-per-request helpers for the client
-//!   verbs (`SubmitJob`, `JobStatus`, `ListJobs`, `CancelJob`,
-//!   `WatchProgress`).
+//! * [`client`] — helpers for the client verbs (`SubmitJob`,
+//!   `JobStatus`, `ListJobs`, `CancelJob`, `WatchProgress`), one
+//!   [`fnas_coord::framing::call`] each.
+//!
+//! The daemon adds no network code of its own: [`Server::run`] is the
+//! shared accept loop [`fnas_coord::framing::serve`] with the server as
+//! its [`fnas_coord::framing::Endpoint`] (DESIGN.md §22).
 //!
 //! Workers are **job-agnostic**: they send `PollAny` and resolve each
 //! job from the spec bytes its `Assign` carries
@@ -31,6 +35,6 @@ pub mod client;
 pub mod progress;
 pub mod server;
 
-pub use client::{cancel_job, job_status, list_jobs, rpc, submit_job, watch_progress};
+pub use client::{cancel_job, job_status, list_jobs, submit_job, watch_progress};
 pub use progress::JobProgress;
 pub use server::{JobState, ServeOptions, Server};

@@ -29,15 +29,14 @@
 //! solo `fnas-coord` run of the same spec regardless of how the fleet
 //! interleaves jobs (`tests/serve_jobs.rs`).
 
-use std::io::{ErrorKind, Read};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fnas::job::JobSpec;
 use fnas::Result;
-use fnas_coord::framing::{read_frame, write_frame};
+use fnas_coord::framing::{self, Endpoint};
 use fnas_coord::{
     Clock, Coordinator, CoordinatorOptions, LeasePolicy, Request, Response, JOB_STATE_CANCELLED,
     JOB_STATE_FINISHED, JOB_STATE_RUNNING,
@@ -105,6 +104,14 @@ impl JobState {
             JobState::Finished => JOB_STATE_FINISHED,
             JobState::Cancelled => JOB_STATE_CANCELLED,
         }
+    }
+
+    /// The state a protocol byte names, or `None` for a byte no state
+    /// maps to.
+    pub fn from_wire(byte: u8) -> Option<JobState> {
+        [JobState::Running, JobState::Finished, JobState::Cancelled]
+            .into_iter()
+            .find(|s| s.to_wire() == byte)
     }
 
     /// Human label, as printed by the CLI.
@@ -503,43 +510,19 @@ impl Server {
     /// Listener I/O errors. Per-connection errors are contained to
     /// their connection.
     pub fn run(self: &Arc<Self>, listener: TcpListener) -> Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut done_at: Option<Instant> = None;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let me = Arc::clone(self);
-                    std::thread::spawn(move || me.handle_connection(stream));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e.into()),
-            }
-            if self.all_expected_done(&self.lock_jobs()) {
-                let at = *done_at.get_or_insert_with(Instant::now);
-                if at.elapsed() >= Duration::from_millis(self.opts.linger_ms) {
-                    return Ok(());
-                }
-            } else {
-                done_at = None;
-            }
-        }
+        framing::serve(self, listener, Duration::from_millis(self.opts.linger_ms))
+    }
+}
+
+/// The server as an `FNC1` endpoint: every verb through [`Server::handle`],
+/// done once the expected jobs are.
+impl Endpoint for Server {
+    fn answer(&self, request: &Request) -> Response {
+        self.handle(request)
     }
 
-    fn handle_connection(&self, mut stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-        let response = match read_frame(&mut stream).and_then(|b| Request::from_bytes(&b)) {
-            Ok(request) => self.handle(&request),
-            Err(e) => Response::Error {
-                what: e.to_string(),
-            },
-        };
-        let _ = write_frame(&mut stream, &response.to_bytes());
-        // Same TIME_WAIT discipline as the coordinator shell: wait for
-        // the peer's close so the wait state lands on their port.
-        let _ = stream.read(&mut [0u8; 1]);
+    fn finished(&self) -> bool {
+        self.all_expected_done(&self.lock_jobs())
     }
 }
 

@@ -7,13 +7,13 @@
 //! process by [`fnas_coord::run_rounds_local`]. Scheduling decides who
 //! computes; it can never change what the result is.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fnas::experiment::ExperimentPreset;
 use fnas::search::{BatchOptions, SearchConfig, ShardSpec};
-use fnas_coord::framing::{read_frame, write_frame};
+use fnas_coord::framing::call;
 use fnas_coord::{
     init_for_round, journal, merge_settled, run_round_shard, run_rounds_local, run_worker, Clock,
     Coordinator, CoordinatorOptions, Journal, LeasePolicy, Request, Response, WallClock,
@@ -48,10 +48,7 @@ fn desert_one_assignment(addr: &str, fingerprint: u64) -> Option<(u64, u32)> {
         job: base().job().job_digest(),
         fingerprint,
     };
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write_frame(&mut stream, &poll.to_bytes()).unwrap();
-    let response = Response::from_bytes(&read_frame(&mut stream).unwrap()).unwrap();
-    match response {
+    match call(addr, &poll).unwrap() {
         Response::Assign { round, shard, .. } => Some((round, shard)),
         other => panic!("deserter expected an assignment, got {other:?}"),
     }
@@ -186,14 +183,6 @@ fn straggler_replicas_settle_first_wins_and_match_sequential_bytes() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-/// One request–response exchange over a fresh connection, the way a
-/// real worker (or a pre-crash straggler) talks to the coordinator.
-fn rpc(addr: &str, request: &Request) -> Response {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write_frame(&mut stream, &request.to_bytes()).unwrap();
-    Response::from_bytes(&read_frame(&mut stream).unwrap()).unwrap()
-}
-
 /// Precomputes every shard result of a `shards × 2` run plus the
 /// round-1 init, so tests can play submissions in any incarnation
 /// without re-deriving them (determinism makes these *the* bytes any
@@ -259,7 +248,7 @@ fn kill_restart_recovery(worker_names: &[&str], tag: &str) {
         std::thread::spawn(move || coord.serve(listener_a));
     }
     for (s, bytes) in r0.iter().enumerate() {
-        let response = rpc(
+        let response = call(
             &addr_a,
             &Request::Submit {
                 worker: "pilot".to_string(),
@@ -270,14 +259,15 @@ fn kill_restart_recovery(worker_names: &[&str], tag: &str) {
                 fingerprint,
                 bytes: bytes.clone(),
             },
-        );
+        )
+        .unwrap();
         assert_eq!(
             response,
             Response::Accepted { fresh: true },
             "round 0 shard {s}"
         );
     }
-    let response = rpc(
+    let response = call(
         &addr_a,
         &Request::Submit {
             worker: "pilot".to_string(),
@@ -288,7 +278,8 @@ fn kill_restart_recovery(worker_names: &[&str], tag: &str) {
             fingerprint,
             bytes: r1[0].clone(),
         },
-    );
+    )
+    .unwrap();
     assert_eq!(response, Response::Accepted { fresh: true });
 
     // Incarnation B: same journal dir, fresh port. It must come up in
@@ -309,7 +300,7 @@ fn kill_restart_recovery(worker_names: &[&str], tag: &str) {
     // epoch. Even though its bytes are exactly right, it is fenced —
     // rejected deterministically, counted, and the shard stays open for
     // a live worker to re-earn.
-    let stale = rpc(
+    let stale = call(
         &addr_b,
         &Request::Submit {
             worker: "ghost-of-epoch-0".to_string(),
@@ -320,7 +311,8 @@ fn kill_restart_recovery(worker_names: &[&str], tag: &str) {
             fingerprint,
             bytes: r1[1].clone(),
         },
-    );
+    )
+    .unwrap();
     assert_eq!(stale, Response::Stale { epoch: 1 });
 
     let workers: Vec<_> = worker_names

@@ -20,14 +20,14 @@
 //!    worker report), and the deferred resubmission settles
 //!    byte-identically once a slot frees.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fnas::experiment::ExperimentPreset;
 use fnas::search::{BatchOptions, SearchConfig, ShardSpec};
-use fnas_coord::framing::{read_frame, write_frame};
+use fnas_coord::framing::call;
 use fnas_coord::{
     init_for_round, run_fleet_worker, run_round_shard, run_rounds_local, run_worker, Clock,
     Coordinator, CoordinatorOptions, LeasePolicy, Request, Response, WallClock, WorkerOptions,
@@ -65,25 +65,18 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-/// One raw request–response exchange (panicking flavour of
-/// [`client::rpc`] for protocol steps a test script controls fully).
-fn rpc(addr: &str, request: &Request) -> Response {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write_frame(&mut stream, &request.to_bytes()).unwrap();
-    Response::from_bytes(&read_frame(&mut stream).unwrap()).unwrap()
-}
-
 /// Polls with the fleet verb, takes whatever assignment the scheduler
 /// offers, and vanishes without heartbeating or submitting — the
 /// wire-level shape of a fleet worker killed mid-round. Returns which
 /// job's shard died with it.
 fn desert_one_fleet_assignment(addr: &str) -> (u64, u64, u32) {
-    let response = rpc(
+    let response = call(
         addr,
         &Request::PollAny {
             worker: "deserter".to_string(),
         },
-    );
+    )
+    .unwrap();
     match response {
         Response::Assign {
             round, shard, job, ..
@@ -295,12 +288,18 @@ fn saturated_submit_is_answered_retry_and_resubmission_settles() {
         fingerprint: coord.fingerprint(),
         bytes,
     };
-    assert_eq!(rpc(&addr, &submit), Response::Retry { backoff_ms: 35 });
+    assert_eq!(
+        call(&addr, &submit).unwrap(),
+        Response::Retry { backoff_ms: 35 }
+    );
     let t = coord.telemetry().snapshot();
     assert_eq!((t.retries_served, t.retry_sleep_ms), (1, 35));
 
     drop(slot);
-    assert_eq!(rpc(&addr, &submit), Response::Accepted { fresh: true });
+    assert_eq!(
+        call(&addr, &submit).unwrap(),
+        Response::Accepted { fresh: true }
+    );
     let merged = serve.join().unwrap().unwrap();
     assert_eq!(merged.to_bytes(), reference);
     std::fs::remove_dir_all(dir).unwrap();
@@ -345,7 +344,7 @@ fn worker_rides_out_submit_saturation_and_meters_the_backoff() {
 
     // Hold the slot until the worker has demonstrably been deferred at
     // least once, then let it through — event-driven, not timed.
-    let deadline = Instant::now() + Duration::from_secs(30);
+    let deadline = Instant::now() + Duration::from_millis(30_000);
     while coord.telemetry().snapshot().retries_served == 0 {
         assert!(Instant::now() < deadline, "worker never hit the cap");
         std::thread::sleep(Duration::from_millis(10));
