@@ -89,24 +89,34 @@ fn trained_search_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn surrogate_search_is_bit_identical_across_worker_counts() {
-    let run = |workers: usize| {
-        let config =
-            SearchConfig::fnas(ExperimentPreset::mnist().with_trials(24), 5.0).with_seed(101);
-        let opts = BatchOptions::sequential()
-            .with_workers(workers)
-            .with_batch_size(8);
-        Searcher::surrogate(&config)
-            .expect("constructible")
-            .run_batched(&config, &opts)
-            .expect("runs")
-    };
-    let sequential = fingerprint(&run(0));
-    for workers in [1usize, 2, 8] {
-        assert_eq!(
-            fingerprint(&run(workers)),
-            sequential,
-            "workers = {workers}"
-        );
+    // The second config is long enough for the controller to revisit
+    // architectures, so both memo caches must see hits; the first sees none.
+    for (trials, required_ms, seed, revisits) in [(24, 5.0, 101, false), (96, 10.0, 11, true)] {
+        let config = SearchConfig::fnas(ExperimentPreset::mnist().with_trials(trials), required_ms)
+            .with_seed(seed);
+        let run = |workers: usize| {
+            let opts = BatchOptions::sequential()
+                .with_workers(workers)
+                .with_batch_size(8);
+            Searcher::surrogate(&config)
+                .expect("constructible")
+                .run_batched(&config, &opts)
+                .expect("runs")
+        };
+        let sequential_run = run(0);
+        if revisits {
+            let t = sequential_run.telemetry();
+            assert!(t.latency_cache_hits > 0, "latency cache saw no hits");
+            assert!(t.accuracy_cache_hits > 0, "accuracy cache saw no hits");
+        }
+        let sequential = fingerprint(&sequential_run);
+        for workers in [1usize, 2, 8] {
+            assert_eq!(
+                fingerprint(&run(workers)),
+                sequential,
+                "{trials} trials, workers = {workers}"
+            );
+        }
     }
 }
 

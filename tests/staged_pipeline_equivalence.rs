@@ -7,7 +7,8 @@
 //! of that machinery may change a single bit of the answers: this suite
 //! compares the staged path against a one-shot reference built directly
 //! from the `fnas-fpga` primitives — the shape of the pre-refactor code —
-//! for random architectures, at 0, 1, 2 and 8 workers.
+//! for random architectures, at 0, 1, 2 and 8 workers. Three fixed deep
+//! networks also pin the partitioned simulator at 2, 4 and 8 partitions.
 
 use fnas::deploy::DeploymentReport;
 use fnas::latency::LatencyEvaluator;
@@ -18,6 +19,7 @@ use fnas_exec::Executor;
 use fnas_fpga::analyzer::analyze;
 use fnas_fpga::design::PipelineDesign;
 use fnas_fpga::device::{FpgaCluster, FpgaDevice};
+use fnas_fpga::layer::{ConvShape, Network};
 use fnas_fpga::passes::partition::PartitionedGraph;
 use fnas_fpga::sched::FnasScheduler;
 use fnas_fpga::sim::parallel::simulate_design_partitioned;
@@ -221,6 +223,51 @@ proptest! {
                     ),
                 }
             }
+        }
+    }
+}
+
+/// Large (deep, wide) 32×32 k3 pipelines on two PYNQ boards settle to the
+/// byte-identical report at 2, 4 and 8 partitions, and the partition pass
+/// really splits them (`deep-128x6` builds 6 regions at 8 partitions).
+#[test]
+fn deep_networks_partition_into_regions_and_simulate_identically() {
+    let deep = |filters: &[usize]| {
+        let mut layers = Vec::new();
+        let mut prev = 3usize;
+        for &f in filters {
+            layers.push(ConvShape::square(prev, f, 32, 3).expect("valid shape"));
+            prev = f;
+        }
+        Network::new(layers).expect("chain is channel-compatible")
+    };
+    let networks = [
+        ("deep-64x8", deep(&[64; 8])),
+        ("deep-mix-8", deep(&[64, 128, 64, 128, 64, 128, 64, 128])),
+        ("deep-128x6", deep(&[128; 6])),
+    ];
+    let cluster = FpgaCluster::homogeneous(FpgaDevice::pynq(), 2, 16.0).expect("cluster");
+    for (name, network) in &networks {
+        let design = PipelineDesign::generate_on_cluster(network, &cluster).expect("design");
+        let graph = TileTaskGraph::from_design(&design).expect("task graph");
+        let schedule = FnasScheduler::new().schedule(&graph);
+        let reference = simulate_design(&design, &graph, &schedule).expect("reference sim");
+        for parts in [2usize, 4, 8] {
+            let partitions = PartitionedGraph::build(&graph, parts);
+            let executor = Executor::with_workers(parts);
+            let (report, stats) =
+                simulate_design_partitioned(&design, &graph, &schedule, &partitions, &executor)
+                    .expect("partitioned sim");
+            assert_eq!(report, reference, "{name} diverged at {parts} partitions");
+            assert_eq!(
+                stats.partitions_built,
+                partitions.num_regions() as u64,
+                "{name} at {parts} partitions"
+            );
+            assert!(
+                stats.partitions_built > 0,
+                "{name} built no regions at {parts} partitions"
+            );
         }
     }
 }

@@ -11,7 +11,9 @@
 //!   [`DiskStore`] handle on an already-populated directory (the moral
 //!   equivalent of a second process on a shared filesystem) serves ≥ 90%
 //!   of its lookups from the store and does strictly less design-build
-//!   and simulator work than the cold pass.
+//!   and simulator work than the cold pass. A second *job* (different
+//!   spec, so a different digest) on the same directory keeps its
+//!   artifacts apart yet warm-starts from the first job's oracle records.
 //! * **Key stability** — the canonical key codec is injective, payloads
 //!   round-trip through a real store directory byte-for-byte, and one
 //!   canonical key digest is pinned to a literal so any silent change to
@@ -22,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fnas::experiment::ExperimentPreset;
+use fnas::job::JobSpec;
 use fnas::persist;
 use fnas::search::{BatchOptions, SearchConfig, SearchOutcome, Searcher};
 use fnas_controller::arch::{ChildArch, LayerChoice};
@@ -155,6 +158,51 @@ fn a_second_process_on_a_warm_store_mostly_hits_and_computes_less() {
     );
     // The engine's telemetry must agree that the store was the source.
     assert!(warm_out.telemetry().store_hits > 0, "telemetry saw no hits");
+    std::fs::remove_dir_all(dir).expect("cleanup");
+}
+
+/// Two jobs that differ only in `rL` run against one store directory. Each
+/// job's artifacts stay under its own digest, while oracle records are keyed
+/// job-agnostically, so the second job warm-starts from the first job's
+/// latencies (both controllers start from the same seed).
+#[test]
+fn a_second_job_warm_starts_from_the_first_jobs_oracle_records() {
+    let dir = temp_dir("jobs");
+    let job_a = JobSpec::new("mnist")
+        .with_required_ms(Some(10.0))
+        .with_trials(Some(48))
+        .with_seed(Some(11));
+    let job_b = job_a.clone().with_required_ms(Some(6.0));
+    assert_ne!(job_a.job_digest(), job_b.job_digest());
+    let opts = BatchOptions::sequential()
+        .with_workers(2)
+        .with_batch_size(8);
+
+    let mut hits = Vec::new();
+    for job in [&job_a, &job_b] {
+        let config = job.resolve().expect("spec resolves");
+        let store: Arc<dyn Store> = Arc::new(DiskStore::open(&dir).expect("store opens"));
+        let mut searcher = Searcher::surrogate(&config).expect("constructible");
+        searcher.attach_store(Arc::clone(&store));
+        let out = searcher.run_batched(&config, &opts).expect("runs");
+        // Same artifact name for both jobs: only the digest keeps them apart.
+        store.put_artifact(job.job_digest(), "summary.txt", job.to_string().as_bytes());
+        hits.push(out.telemetry().store_hits);
+    }
+
+    let disk = DiskStore::open(&dir).expect("store reopens");
+    for job in [&job_a, &job_b] {
+        assert_eq!(
+            disk.list_artifacts(job.job_digest()).expect("lists"),
+            vec!["summary.txt".to_string()],
+            "job {:#018x} lost or leaked artifacts",
+            job.job_digest()
+        );
+    }
+    assert!(
+        hits[1] > 0,
+        "job B saw no store hits: the oracle cache is not shared"
+    );
     std::fs::remove_dir_all(dir).expect("cleanup");
 }
 
